@@ -371,17 +371,17 @@ def compare_variants(
                 n_objects=n_objects,
             )
         )
-        e2e = r.detected_e2e()
+        mean_e2e, p99_e2e = r.e2e_mean_p99()
         out.append(
             VariantOutcome(
                 name=v.name,
                 bounds=b,
-                mean_e2e=float(e2e.mean()) if len(e2e) else float("nan"),
-                p99_e2e=float(np.percentile(e2e, 99)) if len(e2e) else float("nan"),
+                mean_e2e=mean_e2e,
+                p99_e2e=p99_e2e,
                 mean_cycle=r.mean_cycle_ms(),
                 mean_b_fetch=float(r.b_fetch_ms.mean()) if len(r.b_fetch_ms) else float("nan"),
                 drops=r.drops,
-                objects_detected=int(len(e2e)),
+                objects_detected=int(len(r.detected_e2e())),
                 objects_missed=r.objects_missed,
             )
         )

@@ -110,12 +110,10 @@ def _simulate_all(scenario: Scenario, seed: int | None, trace: bool):
 
 
 def _summary_row(r):
-    e2e = r.detected_e2e()
-    mean_e2e = float(e2e.mean()) if len(e2e) else float("nan")
-    p99_e2e = float(np.percentile(e2e, 99)) if len(e2e) else float("nan")
+    mean_e2e, p99_e2e = r.e2e_mean_p99()
     return (
         r.variant_name, r.frames_captured, r.frames_fetched, r.drops,
-        len(e2e), r.objects_missed, mean_e2e, p99_e2e, r.mean_cycle_ms(),
+        len(r.detected_e2e()), r.objects_missed, mean_e2e, p99_e2e, r.mean_cycle_ms(),
     )
 
 
@@ -178,14 +176,20 @@ def cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
-def _parse_values(text: str, parser: argparse.ArgumentParser):
+def _parse_values(text: str, param: str, parser: argparse.ArgumentParser):
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return [float(v) for v in range(int(lo), int(hi) + 1)]
-        return [float(v) for v in text.split(",") if v.strip()]
+            values = [float(v) for v in range(int(lo), int(hi) + 1)]
+        else:
+            values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         parser.error(f"--values: expected 'a..b' or comma list, got {text!r}")
+    if param == "queue_size" and any(v < 0 or v != int(v) for v in values):
+        parser.error(f"--values: queue_size needs integers >= 0, got {text!r}")
+    if param == "theta" and any(v < 0 for v in values):
+        parser.error(f"--values: theta needs values >= 0, got {text!r}")
+    return values
 
 
 def _sweep_point(scenario: Scenario, param: str, value: float) -> Scenario:
@@ -213,13 +217,12 @@ def _sweep_point(scenario: Scenario, param: str, value: float) -> Scenario:
 
 def cmd_sweep(args, parser) -> int:
     scenario = load_scenario(args.scenario)
-    values = sorted(_parse_values(args.values, parser))
+    values = sorted(_parse_values(args.values, args.param, parser))
     rows = []
     for value in values:
         point = _sweep_point(scenario, args.param, value)
         r = run(point.sim_config(point.variants[0], seed=args.seed))
-        e2e = r.detected_e2e()
-        mean_e2e = float(e2e.mean()) if len(e2e) else float("nan")
+        mean_e2e = r.e2e_mean_p99()[0]
         shown = int(value) if args.param in ("queue_size", "nn_resolution") else value
         rows.append((args.param, shown, mean_e2e, r.mean_cycle_ms()))
     headers = ("param", "value", "mean_e2e_ms", "mean_cycle_ms")
@@ -227,6 +230,16 @@ def cmd_sweep(args, parser) -> int:
     if args.out:
         _write(args.out, "sweep.csv", _csv(headers, rows))
     return 0
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("scenario",
                        help="scenario file path or shipped preset name")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the scenario seed")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="directory for CSV and trace outputs")

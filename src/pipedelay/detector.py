@@ -114,6 +114,23 @@ class DetectorDelayBounds:
     clamped: bool
 
 
+def _stage_dists(p: StageProfile, variant: PipelineVariant):
+    """Fetch, inference and display distributions as the variant's cycle
+    runs them: contended, except in the contention-free arrangement."""
+    contended = not isinstance(variant, ContentionFree)
+    return (p.fetch_delay_dist(contended), p.infer_delay_dist(contended),
+            p.disp_delay_dist(contended))
+
+
+def _cycle_dist(variant, fetch, infer, disp, b_fetch: DelayDist) -> DelayDist:
+    fetch = fetch.convolve(b_fetch)
+    if isinstance(variant, ContentionFree):
+        return max_combine([fetch, disp]).convolve(infer)
+    if isinstance(variant, ZeroSlack):
+        fetch = fetch.shift(variant.theta)
+    return max_combine([fetch, infer, disp])
+
+
 def service_distribution(
     p: StageProfile, variant: PipelineVariant, b_fetch: DelayDist = ZERO_DELAY
 ) -> DelayDist:
@@ -122,17 +139,7 @@ def service_distribution(
     b_fetch is whatever blocking the fetch stage experiences before its
     execution part; pass the zero distribution for a never-starved queue.
     """
-    if isinstance(variant, ContentionFree):
-        fetch = p.fetch_delay_dist(contended=False).convolve(b_fetch)
-        disp = p.disp_delay_dist(contended=False)
-        infer = p.infer_delay_dist(contended=False)
-        return max_combine([fetch, disp]).convolve(infer)
-    fetch = p.fetch_delay_dist(contended=True).convolve(b_fetch)
-    if isinstance(variant, ZeroSlack):
-        fetch = fetch.shift(variant.theta)
-    infer = p.infer_delay_dist(contended=True)
-    disp = p.disp_delay_dist(contended=True)
-    return max_combine([fetch, infer, disp])
+    return _cycle_dist(variant, *_stage_dists(p, variant), b_fetch)
 
 
 def blocking_bounds(cam: CameraConfig, usb: UsbLinkConfig) -> tuple[float, float]:
@@ -181,23 +188,31 @@ def detector_delay_bounds(
     bounds valid even when blocking stretches some cycles beyond the pure
     execution maximum.
     """
-    if service is None:
-        service = service_distribution(
-            p, variant, blocking_range_dist(b_fetch_min, b_fetch_max)
-        )
-    elif b_fetch_min < 0 or b_fetch_max < b_fetch_min:
+    if b_fetch_min < 0 or b_fetch_max < b_fetch_min:
         raise ValueError("need 0 <= b_fetch_min <= b_fetch_max")
-    s_min, s_max = service.min, service.max
+    fetch, infer, disp = _stage_dists(p, variant)
+    phased = isinstance(variant, ContentionFree)
+    theta = variant.theta if isinstance(variant, ZeroSlack) else 0.0
+    if service is None:
+        service = _cycle_dist(variant, fetch, infer, disp,
+                              blocking_range_dist(b_fetch_min, b_fetch_max))
+        # The extremes come from the stages, not from `service`: the point
+        # merging of the distribution algebra keeps the lower of two nearby
+        # values and could pull them below the true extremes.
+        if phased:
+            s_min = max(fetch.min + b_fetch_min, disp.min) + infer.min
+            s_max = max(fetch.max + b_fetch_max, disp.max) + infer.max
+        else:
+            s_min = max(fetch.min + b_fetch_min + theta, infer.min, disp.min)
+            s_max = max(fetch.max + b_fetch_max + theta, infer.max, disp.max)
+    else:
+        s_min, s_max = service.min, service.max
 
-    if isinstance(variant, ContentionFree):
-        disp = p.disp_delay_dist(contended=False)
+    if phased:
         cycles = 1
-        theta = 0.0
         subtract_b = True
     else:
-        disp = p.disp_delay_dist(contended=True)
         cycles = 2
-        theta = variant.theta if isinstance(variant, ZeroSlack) else 0.0
         subtract_b = not isinstance(variant, Vanilla)
 
     lo = cycles * s_min + disp.min - theta
@@ -209,7 +224,7 @@ def detector_delay_bounds(
         # A queue that can run dry: the cycle that dequeues the frame may
         # spend almost everything on the wait, leaving only the fetch
         # execution part between retrieval and the cycle boundary.
-        lo = min(lo, p.fetch_delay_dist(contended=True).min + s_min + disp.min)
+        lo = min(lo, fetch.min + s_min + disp.min)
     clamped = lo < 0
     return DetectorDelayBounds(
         s_dist=service,

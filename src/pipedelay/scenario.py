@@ -1,39 +1,46 @@
 """Scenario files: one INI-style file describes a complete run.
 
-Grammar (sections and keys, all delays in ms):
+Grammar (sections and keys, all delays in ms). Comments sit on lines of
+their own; a `;` after a value would become part of the value.
 
     [scenario]
-    name = demo                  ; optional label
+    ; name is an optional label
+    name = demo
     variants = vanilla, on_demand, zero_slack, contention_free
 
     [camera]
-    preset = c930e-640x480-30    ; or any of the explicit fields below,
-    frame_rate = 30              ; which override the preset values
+    ; a preset, or any of the explicit fields below, which override the
+    ; preset values
+    preset = c930e-640x480-30
+    frame_rate = 30
     width = 640
     height = 480
     bits_per_pixel = 16
     min_capture_delay = 0
 
-    [usb]                        ; optional, overrides the camera preset
+    ; optional, overrides the camera preset
+    [usb]
     bytes_per_microframe = 2688
     urb_microframes = 32
     microframe_ms = 0.125
     protocol_overhead_microframes = 2
 
     [queue]
-    size = 4                     ; vanilla queue size, 0 collapses to
-                                 ; on-demand behavior
+    ; vanilla queue size, 0 collapses to on-demand behavior
+    size = 4
 
     [zero_slack]
-    theta = auto                 ; or a number; auto applies the safe rule
+    ; or a number; auto applies the safe rule
+    theta = auto
 
     [profile]
-    preset = xavier-yolov3-608   ; or per-stage sections:
+    ; or per-stage sections
+    preset = xavier-yolov3-608
 
-    [profile.fetch_exec]         ; stages: fetch_exec, infer_cpu,
-    dist = 5:0.25, 6:0.5, 7:0.25 ; infer_gpu, disp_exec, disp_block,
-                                 ; fetch_inflation, infer_inflation,
-                                 ; disp_inflation
+    ; stages: fetch_exec, infer_cpu, infer_gpu, disp_exec, disp_block,
+    ; fetch_inflation, infer_inflation, disp_inflation
+    [profile.fetch_exec]
+    dist = 5:0.25, 6:0.5, 7:0.25
     ; alternatives: const = 5
     ;               csv = samples.csv   (one ms sample per line)
     ;               bin_ms = 1          (optional, with csv)
@@ -50,7 +57,7 @@ Parse problems raise ScenarioError naming the offending section and key.
 
 import configparser
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .camera import CameraConfig, UsbLinkConfig
 from .detector import (
@@ -338,6 +345,8 @@ def parse_scenario(text: str, name: str = "scenario",
     if duration_ms <= 0:
         raise ScenarioError("[sim] duration_ms: must be positive")
     seed = sim_sec.get("seed", int, 0)
+    if seed < 0:
+        raise ScenarioError("[sim] seed: must be >= 0")
     n_objects = sim_sec.get("objects", int, 200)
     if n_objects < 0:
         raise ScenarioError("[sim] objects: must be >= 0")
@@ -372,7 +381,3 @@ def load_scenario(path_or_name: str) -> Scenario:
     raise ScenarioError(
         f"no scenario file or preset named {path_or_name!r} "
         f"(presets: {', '.join(sorted(SCENARIO_PRESETS))})")
-
-
-def with_variant(scenario: Scenario, variant: PipelineVariant) -> Scenario:
-    return replace(scenario, variants=(variant,))

@@ -12,11 +12,22 @@ buffer group holding the frame's first microframe. Both instants are
 therefore quantized to the M*U grid, which reproduces the two-point
 arrival interval behaviour of real UVC capture stacks.
 
-Detector side: the pipelined variants run fetch/infer/display of three
-consecutive frames concurrently, one cycle per slowest stage; the
-contention-free variant joins fetch and display first and then runs
-inference alone. Per-stage contention inflation is drawn only for
-cycles where at least two stages are actually active.
+Detector side: every variant runs the same cycle loop, a max-plus
+recurrence in which each cycle lasts as long as its slowest stage. The
+variants differ only in two things:
+
+- Retrieval policy. Each cycle releases its fetch at its start plus the
+  release delay (theta, zero-slack only). Every frame decided by then is
+  admitted to the driver's FIFO of Q buffers (vanilla) or dropped when the
+  FIFO is full; with Q = 0 (the queueless variants) every such frame is
+  skipped. The fetch retrieves the FIFO head, or, when nothing is queued,
+  the next frame on its arrival, so the queueless variants always get the
+  first frame decided after the release.
+- Cycle shape. The pipelined shape runs fetch/infer/display of three
+  consecutive frames concurrently; stages pay their contention inflation
+  in cycles where at least two of them are active. The phased
+  (contention-free) shape runs fetch and display together and then
+  inference alone, all uncontended.
 """
 
 from collections import deque
@@ -28,7 +39,6 @@ import numpy as np
 from .camera import CameraConfig, UsbLinkConfig, frame_size, total_microframes
 from .detector import (
     ContentionFree,
-    OnDemand,
     PipelineVariant,
     StageProfile,
     Vanilla,
@@ -38,6 +48,7 @@ from .dist import DelayDist
 
 _MS = 1_000_000  # ns per ms
 _CHUNK = 4096
+_NEVER = 1 << 62  # ns, later than any event of a run
 
 
 @dataclass(frozen=True)
@@ -131,6 +142,14 @@ class SimResult:
     def detected_e2e(self) -> np.ndarray:
         return self.e2e_delays[~np.isnan(self.e2e_delays)]
 
+    def e2e_mean_p99(self) -> tuple[float, float]:
+        """Mean and 99th percentile of the detected end-to-end delays, NaN
+        when no object was detected."""
+        e2e = self.detected_e2e()
+        if not len(e2e):
+            return float("nan"), float("nan")
+        return float(e2e.mean()), float(np.percentile(e2e, 99))
+
 
 class _Sampler:
     """Chunk-buffered ns-valued draws from one DelayDist."""
@@ -213,87 +232,99 @@ def _make_samplers(profile: StageProfile, ss: np.random.SeedSequence) -> _Sample
     )
 
 
-def _run_queued(decision, delivery, queue_size, sam: _Samplers, trace):
-    """Cycle loop for the queued (vanilla) variant."""
+def _run_cycles(decision, delivery, queue_size, theta_ns, phased, sam: _Samplers, trace):
+    """The detector cycle loop of every variant (see the module docstring).
+
+    `decision` and `delivery` are per-frame instants in ns; `queue_size`
+    is the FIFO size Q (0 for the queueless variants), `theta_ns` the fetch
+    release delay, and `phased` selects the contention-free cycle shape.
+    """
     n_frames = len(decision)
-    queue = deque()
+    decision = decision + [_NEVER]   # sentinel: the admission loops need no bounds check
+    queue = deque()                  # (frame, queue depth at admission)
     ptr = 0
     now = 0
     infer_f = -1
     disp_f = -1
     display_end = [-1] * n_frames
-    dequeue = {}
     fetched = []
+    dequeue = []
+    ahead = []
     bfetch = []
     cyc_start = []
     cyc_len = []
     cyc_steady = []
     occ_t = []
     occ_d = []
-    ahead = {}
     drops = 0
-    first_full = -1
     busy = [0, 0, 0]
+    drop_event = "drop" if queue_size else "skip"
+    full_slots = 2 if phased else 3
 
-    def admit(k):
-        nonlocal drops, first_full
-        if len(queue) < queue_size:
-            ahead[k] = len(queue)
-            queue.append(k)
+    def admit(until):
+        """Admit, in order, every frame decided at or before `until`: accept
+        while the queue has room, then drop the rest (the queue only drains
+        at retrievals, so once full it stays full here)."""
+        nonlocal ptr, drops
+        k = ptr
+        if decision[k] > until:
+            return
+        depth = len(queue)
+        while depth < queue_size and decision[k] <= until:
+            queue.append((k, depth))
+            depth += 1
             occ_t.append(decision[k])
-            occ_d.append(len(queue))
-            if first_full < 0 and len(queue) == queue_size:
-                first_full = decision[k]
+            occ_d.append(depth)
             if trace is not None:
-                trace.append((decision[k], "accept", k, len(queue)))
-        else:
-            drops += 1
+                trace.append((decision[k], "accept", k, depth))
+            k += 1
+        first_drop = k
+        while decision[k] <= until:
             if trace is not None:
-                trace.append((decision[k], "drop", k, len(queue)))
+                trace.append((decision[k], drop_event, k, queue_size))
+            k += 1
+        drops += k - first_drop
+        ptr = k
 
     while True:
-        release = now
-        while ptr < n_frames and decision[ptr] <= release:
-            admit(ptr)
-            ptr += 1
+        release = now + theta_ns
+        admit(release)
         head = -1
         if queue:
-            head = queue[0]
+            head = queue[0][0]
+        elif ptr < n_frames:
+            # Starved: the next frame to be decided is taken on arrival. With
+            # a queue it still passes through it: the admission below accepts it.
+            head = ptr
+            if not queue_size:
+                ptr += 1
+        if head >= 0:
             deq = delivery[head]
             if deq < release:
                 deq = release
-        elif ptr < n_frames:
-            # Starved: the next frame to be decided is taken on arrival.
-            head = ptr
-            admit(ptr)
-            ptr += 1
-            deq = delivery[head]
-        if head >= 0:
             # Decisions up to the retrieval instant still see the head in place.
-            while ptr < n_frames and decision[ptr] <= deq:
-                admit(ptr)
-                ptr += 1
-            queue.popleft()
-            occ_t.append(deq)
-            occ_d.append(len(queue))
+            admit(deq)
+            depth = 0
+            if queue_size:
+                depth = queue.popleft()[1]
+                occ_t.append(deq)
+                occ_d.append(len(queue))
             if trace is not None:
                 trace.append((deq, "retrieve", head, len(queue)))
+            fetched.append(head)
+            dequeue.append(deq)
+            ahead.append(depth)
+            bfetch.append(deq - release)
 
         n_active = (head >= 0) + (infer_f >= 0) + (disp_f >= 0)
         if n_active == 0:
             break
-        contended = n_active >= 2
+        contended = n_active >= 2 and not phased
         longest = 0
         if head >= 0:
-            b = deq - release
             e = (sam.fetch_c if contended else sam.fetch_u).draw()
             busy[0] += e
-            stage = (deq + e) - now
-            if stage > longest:
-                longest = stage
-            fetched.append(head)
-            bfetch.append(b)
-            dequeue[head] = deq
+            longest = (deq + e) - now
         if infer_f >= 0:
             stage = (sam.infer_c if contended else sam.infer_u).draw()
             busy[1] += stage
@@ -306,123 +337,24 @@ def _run_queued(decision, delivery, queue_size, sam: _Samplers, trace):
             if stage > longest:
                 longest = stage
         cyc_start.append(now)
+        cyc_steady.append(n_active == full_slots)
+        if phased:
+            # Inference of this cycle's frame runs alone after fetch and display.
+            if head >= 0:
+                stage = sam.infer_u.draw()
+                busy[1] += stage
+                longest += stage
+            disp_f = head
+        else:
+            disp_f = infer_f
+            infer_f = head
         cyc_len.append(longest)
-        cyc_steady.append(n_active == 3)
-        disp_f = infer_f
-        infer_f = head
         now += longest
 
     return dict(
         fetched=fetched, bfetch=bfetch, dequeue=dequeue, display_end=display_end,
-        ahead=[ahead[f] for f in fetched],
-        cyc_start=cyc_start, cyc_len=cyc_len, cyc_steady=cyc_steady,
-        occ_t=occ_t, occ_d=occ_d, drops=drops, first_full=first_full,
-        busy=busy, end=now,
-    )
-
-
-def _run_direct(decision, delivery, theta_ns, phased, sam: _Samplers, trace):
-    """Cycle loop for the queueless variants.
-
-    Each cycle offers one buffer and receives the first frame whose
-    queuing decision falls after the offer; earlier frames are discarded
-    by the driver. `phased` switches to the contention-free arrangement
-    (fetch || display, then inference alone, all uncontended).
-    """
-    n_frames = len(decision)
-    ptr = 0
-    now = 0
-    infer_f = -1
-    disp_f = -1
-    display_end = [-1] * n_frames
-    dequeue = {}
-    fetched = []
-    bfetch = []
-    cyc_start = []
-    cyc_len = []
-    cyc_steady = []
-    drops = 0
-    busy = [0, 0, 0]
-
-    while True:
-        release = now + theta_ns
-        while ptr < n_frames and decision[ptr] <= release:
-            if trace is not None:
-                trace.append((decision[ptr], "skip", ptr, 0))
-            drops += 1
-            ptr += 1
-        head = -1
-        if ptr < n_frames:
-            head = ptr
-            ptr += 1
-            deq = delivery[head]
-            fetched.append(head)
-            bfetch.append(deq - release)
-            dequeue[head] = deq
-            if trace is not None:
-                trace.append((deq, "retrieve", head, 0))
-
-        if phased:
-            if head < 0 and disp_f < 0:
-                break
-            longest = 0
-            if head >= 0:
-                e = sam.fetch_u.draw()
-                busy[0] += e
-                stage = (deq + e) - now
-                if stage > longest:
-                    longest = stage
-            if disp_f >= 0:
-                stage = sam.disp_u.draw()
-                busy[2] += stage
-                display_end[disp_f] = now + stage
-                if stage > longest:
-                    longest = stage
-            cycle = longest
-            if head >= 0:
-                infer = sam.infer_u.draw()
-                busy[1] += infer
-                cycle += infer
-            cyc_start.append(now)
-            cyc_len.append(cycle)
-            cyc_steady.append(head >= 0 and disp_f >= 0)
-            disp_f = head
-            now += cycle
-        else:
-            n_active = (head >= 0) + (infer_f >= 0) + (disp_f >= 0)
-            if n_active == 0:
-                break
-            contended = n_active >= 2
-            longest = 0
-            if head >= 0:
-                e = (sam.fetch_c if contended else sam.fetch_u).draw()
-                busy[0] += e
-                stage = (deq + e) - now
-                if stage > longest:
-                    longest = stage
-            if infer_f >= 0:
-                stage = (sam.infer_c if contended else sam.infer_u).draw()
-                busy[1] += stage
-                if stage > longest:
-                    longest = stage
-            if disp_f >= 0:
-                stage = (sam.disp_c if contended else sam.disp_u).draw()
-                busy[2] += stage
-                display_end[disp_f] = now + stage
-                if stage > longest:
-                    longest = stage
-            cyc_start.append(now)
-            cyc_len.append(longest)
-            cyc_steady.append(n_active == 3)
-            disp_f = infer_f
-            infer_f = head
-            now += longest
-
-    return dict(
-        fetched=fetched, bfetch=bfetch, dequeue=dequeue, display_end=display_end,
-        ahead=[0] * len(fetched),
-        cyc_start=cyc_start, cyc_len=cyc_len, cyc_steady=cyc_steady,
-        occ_t=[], occ_d=[], drops=drops, first_full=None,
+        ahead=ahead, cyc_start=cyc_start, cyc_len=cyc_len, cyc_steady=cyc_steady,
+        occ_t=occ_t, occ_d=occ_d, drops=drops,
         busy=busy, end=now,
     )
 
@@ -445,14 +377,10 @@ def run(cfg: SimConfig) -> SimResult:
     del_list = delivery.tolist()
 
     variant = cfg.variant
-    if isinstance(variant, Vanilla):
-        if variant.queue_size == 0:
-            variant = OnDemand()
-    if isinstance(variant, Vanilla):
-        state = _run_queued(dec_list, del_list, variant.queue_size, sam, trace)
-    else:
-        theta_ns = int(round(variant.theta * _MS)) if isinstance(variant, ZeroSlack) else 0
-        state = _run_direct(dec_list, del_list, theta_ns, isinstance(variant, ContentionFree), sam, trace)
+    queue_size = variant.queue_size if isinstance(variant, Vanilla) else 0
+    theta_ns = int(round(variant.theta * _MS)) if isinstance(variant, ZeroSlack) else 0
+    phased = isinstance(variant, ContentionFree)
+    state = _run_cycles(dec_list, del_list, queue_size, theta_ns, phased, sam, trace)
 
     fetched = np.asarray(state["fetched"], dtype=np.int64)
     n_fetched = len(fetched)
@@ -460,15 +388,18 @@ def run(cfg: SimConfig) -> SimResult:
     if n_fetched == 0:
         warnings.append("no frame was ever retrieved; run too short")
 
-    dequeue_ns = np.array([state["dequeue"][k] for k in fetched], dtype=np.int64)
+    dequeue_ns = np.asarray(state["dequeue"], dtype=np.int64)
     display_end_all = np.asarray(state["display_end"], dtype=np.int64)
     disp_ns = display_end_all[fetched] if n_fetched else np.zeros(0, dtype=np.int64)
     b_ns = np.asarray(state["bfetch"], dtype=np.int64)
+    occ_ns = np.asarray(state["occ_t"], dtype=np.int64)
+    occ_depth = np.asarray(state["occ_d"], dtype=np.int64)
+    full = np.flatnonzero(occ_depth == queue_size)
 
     # Frames with a fully occupied pipeline on both sides of their journey;
     # analytical steady-state bounds apply to these.
     steady = np.zeros(n_fetched, dtype=bool)
-    if isinstance(cfg.variant, ContentionFree):
+    if phased:
         steady[1:] = True
     else:
         if n_fetched > 3:
@@ -528,9 +459,9 @@ def run(cfg: SimConfig) -> SimResult:
         cycle_start_ms=np.asarray(state["cyc_start"], dtype=np.int64) / _MS,
         cycle_times=np.asarray(state["cyc_len"], dtype=np.int64) / _MS,
         cycle_steady_mask=np.asarray(state["cyc_steady"], dtype=bool),
-        occupancy_ms=np.asarray(state["occ_t"], dtype=np.int64) / _MS,
-        occupancy_depth=np.asarray(state["occ_d"], dtype=np.int64),
-        first_full_ms=(state["first_full"] / _MS) if state["first_full"] not in (None, -1) else None,
+        occupancy_ms=occ_ns / _MS,
+        occupancy_depth=occ_depth,
+        first_full_ms=int(occ_ns[full[0]]) / _MS if len(full) else None,
         object_times=obj_ns / _MS,
         object_frame=object_frame,
         e2e_delays=e2e,

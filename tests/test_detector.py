@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipedelay.camera import CameraConfig, UsbLinkConfig
@@ -207,6 +207,9 @@ class TestThetaRule:
 
     @given(st.floats(1.0, 50.0), st.floats(0.0, 80.0))
     @settings(max_examples=50, deadline=None)
+    # A blocking range narrower than the point-merge tolerance: the bounds
+    # must still see its upper end.
+    @example(fetch_max=1.0, b_hi=1e-9)
     def test_zero_slack_is_exact_translation(self, fetch_max, b_hi):
         p = const_profile(fetch=fetch_max, gpu=200.0)
         s0 = service_distribution(p, OnDemand())

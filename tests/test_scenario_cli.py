@@ -1,8 +1,12 @@
 """Scenario file parsing and the command-line interface."""
 
 import os
+import subprocess
+import sys
 
 import pytest
+
+import pipedelay
 
 from pipedelay import cli
 from pipedelay.analysis import analyze
@@ -69,6 +73,17 @@ class TestParsing:
         assert s.seed == 7
         assert s.profile.fetch_exec.points() == [(2.0, 1.0)]
         assert s.profile_preset is None
+
+    def test_grammar_example_parses(self):
+        import pipedelay.scenario
+
+        doc = pipedelay.scenario.__doc__
+        example = doc[doc.index("    [scenario]"):doc.index("Stage sections")]
+        s = parse_scenario("\n".join(line[4:] for line in example.splitlines()))
+        assert s.name == "demo"
+        assert s.camera.frame_rate == 30.0
+        assert s.queue_size == 4
+        assert s.profile_preset == "xavier-yolov3-608"
 
     def test_camera_preset_with_override(self):
         s = parse_scenario(
@@ -370,3 +385,23 @@ class TestCliUsageErrors:
 
     def test_bad_format_exits_2(self, scenario_file, capsys):
         assert run_cli(["analyze", scenario_file, "--format", "xml"]) == 2
+
+
+class TestCliBadValues:
+    @pytest.mark.parametrize("argv, culprit", [
+        (["validate", "default", "--seed", "-1"], "--seed"),
+        (["validate", "{negative_seed}"], "[sim] seed"),
+        (["sweep", "default", "--param", "theta", "--values", "-5"], "--values"),
+        (["sweep", "default", "--param", "queue_size", "--values", "-1"], "--values"),
+        (["sweep", "default", "--param", "queue_size", "--values", "0.5"], "--values"),
+    ])
+    def test_exits_2_naming_the_culprit(self, argv, culprit, tmp_path):
+        path = tmp_path / "negative_seed.ini"
+        path.write_text(FAST_SCENARIO.replace("seed = 9", "seed = -1"))
+        argv = [a.replace("{negative_seed}", str(path)) for a in argv]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pipedelay.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "pipedelay.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert culprit in proc.stderr

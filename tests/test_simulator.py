@@ -9,6 +9,9 @@ constant offset recoverable from the first delivery, so the assertions
 are phrased relative to it.
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from pipedelay.detector import (
     blocking_bounds,
 )
 from pipedelay.dist import DelayDist, ZERO_DELAY
+from pipedelay.scenario import load_scenario
 from pipedelay.sim import SimConfig, SimResult, run
 
 MICRO_CAM = CameraConfig(frame_rate=100.0, width=700, height=1, bits_per_pixel=16)
@@ -310,3 +314,200 @@ class TestConfigValidation:
     def test_capture_jitter_preserves_order(self):
         r = run(micro_config(capture_jitter_ms=1.0, object_times_ms=None))
         assert np.all(np.diff(r.capture_ms) > 0)
+
+
+# -- bit identity --------------------------------------------------------------
+
+
+def _feed(h, obj) -> None:
+    """Hash every SimResult field: arrays by dtype, shape and bytes, the
+    trace event by event, everything else by repr."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, list):
+        h.update(f"[{len(obj)}".encode())
+        for x in obj:
+            h.update(repr(x).encode())
+    elif isinstance(obj, dict):
+        h.update(repr(sorted(obj.items())).encode())
+    else:
+        h.update(repr(obj).encode())
+    h.update(b";")
+
+
+def result_digest(r: SimResult) -> str:
+    h = hashlib.sha256()
+    for f in dataclasses.fields(r):
+        h.update(f.name.encode())
+        _feed(h, getattr(r, f.name))
+    return h.hexdigest()[:16]
+
+
+def _preset_config(name):
+    def build(**overrides):
+        s = load_scenario(name)
+        kw = dict(camera=s.camera, usb=s.usb, profile=s.profile,
+                  variant=s.variants[0], duration_ms=30000.0, seed=s.seed,
+                  n_objects=100)
+        kw.update(overrides)
+        return SimConfig(**kw)
+    return build
+
+
+_DIGEST_CONFIGS = {
+    "micro": (micro_config, 2.5),
+    "heavy": (heavy_config, 30.0),
+    "case1": (_preset_config("case1"), 10.0),
+    "case2": (_preset_config("case2"), 30.0),
+    "case3": (_preset_config("case3"), 15.0),
+}
+_DIGEST_VARIANTS = {
+    "vanilla4": lambda theta: Vanilla(4),
+    "vanilla1": lambda theta: Vanilla(1),
+    "vanilla0": lambda theta: Vanilla(0),
+    "on_demand": lambda theta: OnDemand(),
+    "zero_slack": lambda theta: ZeroSlack(theta),
+    "contention_free": lambda theta: ContentionFree(),
+}
+
+# Digests of the four runs (trace off/on x capture jitter 0/3 ms) of each
+# config and variant. They pin every SimResult field and trace event bit for
+# bit, so a simulator refactor that is meant to keep results must keep them;
+# a change that moves results on purpose records new ones and says why.
+RECORDED_DIGESTS = {
+    "micro/vanilla4": [
+        "f78f2c7ff6fb038b", "e0244c2ebcc7c85b",
+        "0fbc2c7aab1d2071", "e813a1cfc1e16a67",
+    ],
+    "micro/vanilla1": [
+        "ec905fdaf217b777", "c130ba1848778b97",
+        "27dd1808d136b1b6", "01bca1926e4e198f",
+    ],
+    "micro/vanilla0": [
+        "7120ef89aa4d75a1", "12f6f4337367e9e9",
+        "6941ba56e3233bcf", "593f8894511f6640",
+    ],
+    "micro/on_demand": [
+        "93babfbc08e89751", "6b7a58bcc4aada80",
+        "b2cd11dc9e273b11", "9e7f0d1b0e571ba0",
+    ],
+    "micro/zero_slack": [
+        "32e3ef57bdcecf87", "3a2de490177f35d3",
+        "859f110a3c2ab385", "52e8a7ac0c4af7be",
+    ],
+    "micro/contention_free": [
+        "0de0827b6d0962f8", "bc91537ce0f554c1",
+        "a7b83d8cd4a14e34", "8fcea4336ed5be1f",
+    ],
+    "heavy/vanilla4": [
+        "63e1ee406f326657", "6d65377c05cb93b4",
+        "2fa2cc62e2498920", "2fcc128d17049a03",
+    ],
+    "heavy/vanilla1": [
+        "0b3d351b529f756f", "5efb40001cfebb7c",
+        "0c66390b6dd52903", "83194433faa27b87",
+    ],
+    "heavy/vanilla0": [
+        "8d44f70b8ca6a5fd", "2610cc8d285dfa4a",
+        "f64a337f63689a3d", "8c333b6fb4f4871a",
+    ],
+    "heavy/on_demand": [
+        "5db58ba26f129040", "c8f86b157885ce7b",
+        "dd1279b10de950c3", "d9e2cdfbe48488d3",
+    ],
+    "heavy/zero_slack": [
+        "3cb6083c197a60ef", "995a5815b829b98a",
+        "d776771dab2cf42f", "c3d5fecf15796826",
+    ],
+    "heavy/contention_free": [
+        "f7574f1477f47ba6", "3d8114376ceadbe8",
+        "05ba4dececf4cd1e", "e3493fe34ed555cc",
+    ],
+    "case1/vanilla4": [
+        "26d49ff3b07fe781", "3133bdebe973542b",
+        "17b2ad2ddfc0960a", "83718e9c0699dbd1",
+    ],
+    "case1/vanilla1": [
+        "762477272b6bfa30", "67e4c8417d0c9073",
+        "a6e519d87c6053ff", "9a56cfa118ac9722",
+    ],
+    "case1/vanilla0": [
+        "b027892f5ea56a36", "02d7fb80c4063adc",
+        "64e5ac3d510f3c2b", "15dc60ef94e4c9cd",
+    ],
+    "case1/on_demand": [
+        "e73a31a95a44ecff", "43dd41a89e3b487b",
+        "4471172d32df7a68", "dc33f8e81f47785e",
+    ],
+    "case1/zero_slack": [
+        "bda3702f0150dee9", "0df5dcc27ce11732",
+        "b00a8b8edd9d9abb", "94e4db96a82474dd",
+    ],
+    "case1/contention_free": [
+        "9e18ec6a1670b636", "8a2ae353301691bf",
+        "0f7d629473628285", "52bc533f9f9695ec",
+    ],
+    "case2/vanilla4": [
+        "35e4c6e9a55beca7", "2922a67688b7817f",
+        "60bc6adf11025944", "7e667579b70956bc",
+    ],
+    "case2/vanilla1": [
+        "7534a42913c7c6f7", "e4b59b29f53f79eb",
+        "789869e8c7202dcf", "a668115831fc69b0",
+    ],
+    "case2/vanilla0": [
+        "fb8ac37b4ece2820", "91aa2e4527c9ad68",
+        "2424375c8f9d8436", "74fcb3efe7526c6b",
+    ],
+    "case2/on_demand": [
+        "8b6389c7842bca32", "1ebc70f458e7f612",
+        "cad7f54f9c7b8778", "e9950a24649ee0af",
+    ],
+    "case2/zero_slack": [
+        "3a7db4978bedcadc", "7350fcfdd07f2de8",
+        "429e0ad6d678eb5d", "cfe23a554a9691cd",
+    ],
+    "case2/contention_free": [
+        "2b37d27b5a654916", "72d37d2064008130",
+        "34bfff12d800df55", "a3a88facf30e0f22",
+    ],
+    "case3/vanilla4": [
+        "d7b56c5a5f6229c9", "b9553df9670753ed",
+        "430c363fc17f4e10", "0e6de7e0a787ceb7",
+    ],
+    "case3/vanilla1": [
+        "9f0a0776abc487b9", "61d7ed7a9f04315a",
+        "406870b7a72dbdf1", "d51194a551efd6fe",
+    ],
+    "case3/vanilla0": [
+        "b120ea73507d425f", "d7f708ae5880361d",
+        "0f10eb0851cb5be9", "daef3f6f145bafdb",
+    ],
+    "case3/on_demand": [
+        "4708f8e5b63a5775", "e08959c09cb7bc9f",
+        "605bcf42efca8894", "8fd90cfed1e03a5a",
+    ],
+    "case3/zero_slack": [
+        "da3da9d9bcd32b4d", "f5e492b8d3ffab6f",
+        "4bc605ac103d8943", "b1c21392a3508d6b",
+    ],
+    "case3/contention_free": [
+        "0e7ef0593871e9a9", "3042f0df48174606",
+        "4cfefd0a2a441a5f", "96e6bd0f6e0eae8b",
+    ],
+}
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("key", sorted(RECORDED_DIGESTS))
+    def test_results_match_recorded_digests(self, key):
+        cfg_name, var_name = key.split("/")
+        build, theta = _DIGEST_CONFIGS[cfg_name]
+        variant = _DIGEST_VARIANTS[var_name](theta)
+        parts = [
+            result_digest(run(build(variant=variant, trace=trace,
+                                    capture_jitter_ms=jitter)))
+            for trace in (False, True) for jitter in (0.0, 3.0)
+        ]
+        assert parts == RECORDED_DIGESTS[key]
