@@ -54,7 +54,7 @@ from .queueing import QueueDelayBounds, QueueRegime, classify, queue_delay_bound
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .sim import SimConfig, SimResult, run
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CameraConfig",

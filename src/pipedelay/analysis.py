@@ -3,10 +3,9 @@
 The per-component bound formulas assume every pipeline cycle stays
 within the service-interval extremes. Retrieval blocking (waiting for a
 frame still in transit) can stretch a cycle beyond the nominal service
-maximum, so the analyzer folds the blocking range into the service
-distribution before applying any formula that must hold for arbitrary
-cycles (camera capture gap, queue upper bound, queueless detector
-bounds).
+maximum, so the analyzer widens the cycle extremes by the blocking range
+before applying any formula that must hold for arbitrary cycles (camera
+capture gap, queue upper bound, queueless detector bounds).
 
 For the queued variant a saturation certificate - the worst transfer
 lag plus the largest admission gap fits inside the buffered work - both
@@ -33,11 +32,8 @@ from .camera import (
 )
 from .detector import (
     DetectorDelayBounds,
-    OnDemand,
     PipelineVariant,
     StageProfile,
-    Vanilla,
-    ZeroSlack,
     blocking_bounds,
     detector_delay_bounds,
     service_distribution,
@@ -69,28 +65,24 @@ def analyze(
     variant: PipelineVariant,
 ) -> E2EBounds:
     """Bound every delay component of one pipeline variant."""
-    eff = variant
-    if isinstance(eff, Vanilla) and eff.queue_size == 0:
-        eff = OnDemand()
-
     warnings: list[str] = []
     arrivals = arrival_distribution(cam, usb)
-    s0 = service_distribution(profile, eff)
+    s0 = service_distribution(profile, variant)
     regime = classify(arrivals, s0)
 
     tran_lo, tran_hi = transfer_delay_bounds(frame_size(cam), usb)
     b_lo, b_hi = blocking_bounds(cam, usb)
     certified = False
-    if isinstance(eff, Vanilla):
-        q = eff.queue_size
+    q = variant.queue_size
+    if q > 0:
         # Widened extremes hold for every cycle, including startup ones
         # where the head may still be in transit.
-        det_wide = detector_delay_bounds(profile, eff, 0.0, b_hi)
+        det_wide = detector_delay_bounds(profile, variant, 0.0, b_hi)
         certified = (
             regime is QueueRegime.SERVICE_LIMITED
             and tran_hi + arrivals.max <= q * s0.min
         )
-        det = detector_delay_bounds(profile, eff, 0.0, 0.0) if certified else det_wide
+        det = detector_delay_bounds(profile, variant, 0.0, 0.0) if certified else det_wide
         qd = queue_delay_bounds(
             regime, q, det.s_min, det_wide.s_max,
             tran_lo, tran_hi, arrivals.max, usb.urb_period_ms,
@@ -105,8 +97,7 @@ def analyze(
             )
         s_for_camera = det_wide.s_max
     else:
-        q = 0
-        det = detector_delay_bounds(profile, eff, b_lo, b_hi)
+        det = detector_delay_bounds(profile, variant, b_lo, b_hi)
         qd = queue_delay_bounds(
             regime, 0, det.s_min, det.s_max,
             tran_lo, tran_hi, arrivals.max, usb.urb_period_ms,
@@ -116,11 +107,11 @@ def analyze(
 
     if det.clamped:
         warnings.append("detector lower bound clamped at zero")
-    if isinstance(eff, ZeroSlack) and eff.theta > 0:
+    if variant.theta > 0:
         others = max(
             profile.infer_delay_dist(True).max, profile.disp_delay_dist(True).max
         )
-        if eff.theta + det.b_fetch_min + profile.fetch_delay_dist(True).min > others:
+        if variant.theta + det.b_fetch_min + profile.fetch_delay_dist(True).min > others:
             warnings.append(
                 "release delay makes the fetch branch dominate every cycle; "
                 "throughput will drop below the other variants"
@@ -277,7 +268,7 @@ def validate_against_analysis(
 
     q_hi = bounds.queue.d_queue_max
     q_lo = bounds.queue.d_queue_min
-    checks.append(_check("queue.upper", result.queue_delays, 0.0 - atol, q_hi - s, atol))
+    checks.append(_check("queue.upper", result.queue_delays, 0.0, q_hi - s, atol))
     if q_lo > 0:
         checks.append(
             _check(

@@ -22,7 +22,7 @@ import numpy as np
 from .analysis import analyze, validate_against_analysis
 from .detector import Vanilla, ZeroSlack
 from .presets import PROFILE_PRESETS
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, check_scenario, load_scenario
 from .sim import run
 
 
@@ -199,8 +199,13 @@ def _sweep_point(scenario: Scenario, param: str, value: float) -> Scenario:
     if param == "theta":
         return replace(scenario, theta=value, variants=(ZeroSlack(value),))
     if param == "frame_rate":
-        return replace(scenario, camera=replace(scenario.camera, frame_rate=value),
-                       variants=scenario.variants[:1])
+        try:
+            point = replace(scenario, camera=replace(scenario.camera, frame_rate=value),
+                            variants=scenario.variants[:1])
+            check_scenario(point)
+        except ValueError as exc:
+            raise ScenarioError(f"--values: frame_rate {value:g}: {exc}") from None
+        return point
     # nn_resolution: swap the resolution suffix of the profile preset.
     if scenario.profile_preset is None:
         raise ScenarioError(
@@ -218,9 +223,9 @@ def _sweep_point(scenario: Scenario, param: str, value: float) -> Scenario:
 def cmd_sweep(args, parser) -> int:
     scenario = load_scenario(args.scenario)
     values = sorted(_parse_values(args.values, args.param, parser))
+    points = [_sweep_point(scenario, args.param, value) for value in values]
     rows = []
-    for value in values:
-        point = _sweep_point(scenario, args.param, value)
+    for value, point in zip(values, points):
         r = run(point.sim_config(point.variants[0], seed=args.seed))
         mean_e2e = r.e2e_mean_p99()[0]
         shown = int(value) if args.param in ("queue_size", "nn_resolution") else value

@@ -13,8 +13,6 @@ terms are added whenever a stage shares its window with others.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .camera import CameraConfig, UsbLinkConfig, transfer_delay_bounds, frame_size
 from .dist import DelayDist, ZERO_DELAY, max_combine
 
@@ -61,6 +59,8 @@ class Vanilla:
     queue_size: int = 4
 
     name = "vanilla"
+    theta = 0.0
+    phased = False
 
     def __post_init__(self):
         if self.queue_size < 0:
@@ -72,6 +72,9 @@ class OnDemand:
     """Queueless capture: each cycle requests exactly one fresh frame."""
 
     name = "on_demand"
+    queue_size = 0
+    theta = 0.0
+    phased = False
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,8 @@ class ZeroSlack:
     theta: float
 
     name = "zero_slack"
+    queue_size = 0
+    phased = False
 
     def __post_init__(self):
         if self.theta < 0:
@@ -92,8 +97,15 @@ class ContentionFree:
     """On-demand capture with inference serialized after fetch/display."""
 
     name = "contention_free"
+    queue_size = 0
+    theta = 0.0
+    phased = True
 
 
+# Every variant states the three facts the analysis and the simulator read:
+# queue_size (Q; 0 for the queueless variants, which wait for a fresh
+# frame), theta (the fetch release delay, ms) and phased (inference runs
+# alone after fetch/display instead of the pipelined cycle).
 PipelineVariant = Vanilla | OnDemand | ZeroSlack | ContentionFree
 
 
@@ -101,7 +113,6 @@ PipelineVariant = Vanilla | OnDemand | ZeroSlack | ContentionFree
 class DetectorDelayBounds:
     """Bounds (ms) on retrieval-to-display latency for one variant."""
 
-    s_dist: DelayDist
     s_min: float
     s_max: float
     d_disp_min: float
@@ -116,30 +127,19 @@ class DetectorDelayBounds:
 
 def _stage_dists(p: StageProfile, variant: PipelineVariant):
     """Fetch, inference and display distributions as the variant's cycle
-    runs them: contended, except in the contention-free arrangement."""
-    contended = not isinstance(variant, ContentionFree)
+    runs them: contended, except in the phased (contention-free) cycle."""
+    contended = not variant.phased
     return (p.fetch_delay_dist(contended), p.infer_delay_dist(contended),
             p.disp_delay_dist(contended))
 
 
-def _cycle_dist(variant, fetch, infer, disp, b_fetch: DelayDist) -> DelayDist:
-    fetch = fetch.convolve(b_fetch)
-    if isinstance(variant, ContentionFree):
+def service_distribution(p: StageProfile, variant: PipelineVariant) -> DelayDist:
+    """Distribution of one detector cycle length when the fetch never
+    waits for a frame."""
+    fetch, infer, disp = _stage_dists(p, variant)
+    if variant.phased:
         return max_combine([fetch, disp]).convolve(infer)
-    if isinstance(variant, ZeroSlack):
-        fetch = fetch.shift(variant.theta)
-    return max_combine([fetch, infer, disp])
-
-
-def service_distribution(
-    p: StageProfile, variant: PipelineVariant, b_fetch: DelayDist = ZERO_DELAY
-) -> DelayDist:
-    """Distribution of one detector cycle length.
-
-    b_fetch is whatever blocking the fetch stage experiences before its
-    execution part; pass the zero distribution for a never-starved queue.
-    """
-    return _cycle_dist(variant, *_stage_dists(p, variant), b_fetch)
+    return max_combine([fetch.shift(variant.theta), infer, disp])
 
 
 def blocking_bounds(cam: CameraConfig, usb: UsbLinkConfig) -> tuple[float, float]:
@@ -161,59 +161,35 @@ def compute_theta_fetch(s_min: float, e_fetch_max: float, b_fetch_max: float) ->
     return max(0.0, s_min - e_fetch_max - b_fetch_max)
 
 
-def blocking_range_dist(b_fetch_min: float, b_fetch_max: float) -> DelayDist:
-    """Two-point distribution spanning a blocking range, for bound math."""
-    if b_fetch_min < 0 or b_fetch_max < b_fetch_min:
-        raise ValueError("need 0 <= b_fetch_min <= b_fetch_max")
-    if b_fetch_max > b_fetch_min:
-        return DelayDist(np.array([b_fetch_min, b_fetch_max]), np.array([0.5, 0.5]))
-    return _const(b_fetch_min)
-
-
 def detector_delay_bounds(
     p: StageProfile,
     variant: PipelineVariant,
     b_fetch_min: float = 0.0,
     b_fetch_max: float = 0.0,
-    service: DelayDist | None = None,
 ) -> DetectorDelayBounds:
     """Closed-form bounds on the retrieval-to-display latency.
 
-    Queued/on-demand variants traverse two cycles plus the display stage;
-    the contention-free variant needs one cycle plus the display. For the
-    variants that wait for a fresh frame, the wait b_fetch is part of the
-    camera-side accounting, so it is subtracted once here. Unless an
-    explicit service distribution is given, the cycle distribution is
-    built with b_fetch spanning its [min, max] range, which keeps the
-    bounds valid even when blocking stretches some cycles beyond the pure
-    execution maximum.
+    Pipelined variants traverse two cycles plus the display stage; the
+    phased (contention-free) variant needs one cycle plus the display. For
+    the queueless variants, which wait for a fresh frame, the wait b_fetch
+    is part of the camera-side accounting, so it is subtracted once here.
+    The cycle extremes s_min and s_max put b_fetch at the matching end of
+    its [min, max] range, which keeps the bounds valid even when blocking
+    stretches some cycles beyond the pure execution maximum.
     """
     if b_fetch_min < 0 or b_fetch_max < b_fetch_min:
         raise ValueError("need 0 <= b_fetch_min <= b_fetch_max")
     fetch, infer, disp = _stage_dists(p, variant)
-    phased = isinstance(variant, ContentionFree)
-    theta = variant.theta if isinstance(variant, ZeroSlack) else 0.0
-    if service is None:
-        service = _cycle_dist(variant, fetch, infer, disp,
-                              blocking_range_dist(b_fetch_min, b_fetch_max))
-        # The extremes come from the stages, not from `service`: the point
-        # merging of the distribution algebra keeps the lower of two nearby
-        # values and could pull them below the true extremes.
-        if phased:
-            s_min = max(fetch.min + b_fetch_min, disp.min) + infer.min
-            s_max = max(fetch.max + b_fetch_max, disp.max) + infer.max
-        else:
-            s_min = max(fetch.min + b_fetch_min + theta, infer.min, disp.min)
-            s_max = max(fetch.max + b_fetch_max + theta, infer.max, disp.max)
-    else:
-        s_min, s_max = service.min, service.max
-
-    if phased:
+    theta = variant.theta
+    if variant.phased:
         cycles = 1
-        subtract_b = True
+        s_min = max(fetch.min + b_fetch_min, disp.min) + infer.min
+        s_max = max(fetch.max + b_fetch_max, disp.max) + infer.max
     else:
         cycles = 2
-        subtract_b = not isinstance(variant, Vanilla)
+        s_min = max(fetch.min + b_fetch_min + theta, infer.min, disp.min)
+        s_max = max(fetch.max + b_fetch_max + theta, infer.max, disp.max)
+    subtract_b = variant.queue_size == 0
 
     lo = cycles * s_min + disp.min - theta
     hi = cycles * s_max + disp.max - theta
@@ -227,7 +203,6 @@ def detector_delay_bounds(
         lo = min(lo, fetch.min + s_min + disp.min)
     clamped = lo < 0
     return DetectorDelayBounds(
-        s_dist=service,
         s_min=s_min,
         s_max=s_max,
         d_disp_min=disp.min,

@@ -352,7 +352,7 @@ def parse_scenario(text: str, name: str = "scenario",
         raise ScenarioError("[sim] objects: must be >= 0")
     jitter = sim_sec.get("capture_jitter_ms", float, 0.0)
 
-    return Scenario(
+    scenario = Scenario(
         name=scen_sec.items.get("name", name),
         camera=camera,
         usb=usb,
@@ -366,6 +366,28 @@ def parse_scenario(text: str, name: str = "scenario",
         capture_jitter_ms=jitter,
         profile_preset=profile_preset,
     )
+    check_scenario(scenario)
+    return scenario
+
+
+def check_scenario(scenario: Scenario) -> None:
+    """Reject capture timing that the camera model and the simulator
+    cannot run: arrivals need a capture interval above the USB buffering
+    period, and jittered captures stay in order only for jitter up to
+    0.4 capture intervals."""
+    cycle_ms = scenario.camera.cycle_ms
+    period_ms = scenario.usb.urb_period_ms
+    if cycle_ms <= period_ms:
+        raise ScenarioError(
+            f"[camera] frame_rate: capture interval {cycle_ms:g} ms must exceed "
+            f"the USB buffering period {period_ms:g} ms")
+    jitter = scenario.capture_jitter_ms
+    if jitter < 0:
+        raise ScenarioError("[sim] capture_jitter_ms: must be >= 0")
+    if jitter > 0.4 * cycle_ms:
+        raise ScenarioError(
+            f"[sim] capture_jitter_ms: {jitter:g} ms exceeds 0.4 of the "
+            f"{cycle_ms:g} ms capture interval")
 
 
 def load_scenario(path_or_name: str) -> Scenario:

@@ -37,13 +37,7 @@ import math
 import numpy as np
 
 from .camera import CameraConfig, UsbLinkConfig, frame_size, total_microframes
-from .detector import (
-    ContentionFree,
-    PipelineVariant,
-    StageProfile,
-    Vanilla,
-    ZeroSlack,
-)
+from .detector import PipelineVariant, StageProfile
 from .dist import DelayDist
 
 _MS = 1_000_000  # ns per ms
@@ -377,9 +371,8 @@ def run(cfg: SimConfig) -> SimResult:
     del_list = delivery.tolist()
 
     variant = cfg.variant
-    queue_size = variant.queue_size if isinstance(variant, Vanilla) else 0
-    theta_ns = int(round(variant.theta * _MS)) if isinstance(variant, ZeroSlack) else 0
-    phased = isinstance(variant, ContentionFree)
+    queue_size, phased = variant.queue_size, variant.phased
+    theta_ns = int(round(variant.theta * _MS))
     state = _run_cycles(dec_list, del_list, queue_size, theta_ns, phased, sam, trace)
 
     fetched = np.asarray(state["fetched"], dtype=np.int64)

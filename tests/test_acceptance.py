@@ -25,7 +25,6 @@ from pipedelay.detector import (
     Vanilla,
     ZeroSlack,
     blocking_bounds,
-    blocking_range_dist,
     compute_theta_fetch,
     service_distribution,
 )
@@ -307,7 +306,7 @@ class TestContentionTradeOff:
         increase = cf.mean_cycle_ms() - zs.mean_cycle_ms()
         b_lo, b_hi = blocking_bounds(s.camera, s.usb)
         fetch_with_wait = s.profile.fetch_delay_dist(False).convolve(
-            blocking_range_dist(b_lo, b_hi))
+            DelayDist.from_points([(b_lo, 0.5), (b_hi, 0.5)]))
         ceiling = max_combine(
             [fetch_with_wait, s.profile.disp_delay_dist(False)]).mean()
         assert 0.0 < increase <= ceiling, (increase, ceiling)

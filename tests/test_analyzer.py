@@ -1,5 +1,7 @@
 """End-to-end bound composition and simulation-vs-analysis validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from pipedelay.analysis import analyze, compare_variants, validate_against_analy
 from pipedelay.camera import CameraConfig, UsbLinkConfig
 from pipedelay.detector import OnDemand, StageProfile, Vanilla, ZeroSlack
 from pipedelay.dist import DelayDist, ZERO_DELAY
+from pipedelay.presets import SCENARIO_PRESETS
 from pipedelay.queueing import QueueRegime
+from pipedelay.scenario import load_scenario
 from pipedelay.sim import SimConfig, run
 
 MICRO_CAM = CameraConfig(frame_rate=100.0, width=700, height=1, bits_per_pixel=16)
@@ -154,16 +158,32 @@ class TestCertifiedSaturation:
         assert report.total_violations > 0
 
 
+def _plain(obj):
+    """Dataclass fields as nested dicts, distributions as point lists."""
+    if isinstance(obj, DelayDist):
+        return obj.points()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
+
+
+def _system(name):
+    if name == "micro":
+        return MICRO_CAM, MICRO_USB, MICRO_PROFILE
+    s = load_scenario(name)
+    return s.camera, s.usb, s.profile
+
+
 class TestQueuelessEquivalence:
-    def test_zero_size_queue_matches_on_demand(self):
-        a = analyze(MICRO_CAM, MICRO_USB, MICRO_PROFILE, Vanilla(0))
-        b = analyze(MICRO_CAM, MICRO_USB, MICRO_PROFILE, OnDemand())
+    @pytest.mark.parametrize("system", ["micro", *sorted(SCENARIO_PRESETS)])
+    def test_zero_size_queue_matches_on_demand(self, system):
+        a = analyze(*_system(system), Vanilla(0))
+        b = analyze(*_system(system), OnDemand())
         assert a.variant_name == "vanilla"
         assert b.variant_name == "on_demand"
-        assert a.regime is b.regime
-        assert (a.total_min, a.total_max) == (b.total_min, b.total_max)
-        assert a.detector.d_detector_min == b.detector.d_detector_min
-        assert a.detector.d_detector_max == b.detector.d_detector_max
+        fields_a, fields_b = _plain(a), _plain(b)
+        del fields_a["variant_name"], fields_b["variant_name"]
+        assert fields_a == fields_b
         assert (a.queue.d_queue_min, a.queue.d_queue_max) == (0.0, 0.0)
 
     def test_on_demand_micro_bounds(self):

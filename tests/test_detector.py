@@ -14,7 +14,6 @@ from pipedelay.detector import (
     Vanilla,
     ZeroSlack,
     blocking_bounds,
-    blocking_range_dist,
     compute_theta_fetch,
     detector_delay_bounds,
     service_distribution,
@@ -134,11 +133,6 @@ class TestBlockingBounds:
         assert lo == pytest.approx(33.75, abs=1e-9)
         assert hi == pytest.approx(91.75, abs=1e-9)
 
-    def test_range_dist_endpoints(self):
-        d = blocking_range_dist(24.875, 66.208)
-        assert d.min == pytest.approx(24.875)
-        assert d.max == pytest.approx(66.208)
-
 
 class TestDetectorDelayBounds:
     def test_vanilla_constant_service(self):
@@ -156,12 +150,16 @@ class TestDetectorDelayBounds:
 
     def test_contention_free_bounds(self):
         # One cycle of the serialized loop plus the display, minus blocking.
+        # The cycle is the blocked fetch (above the 20 ms display) followed
+        # by uncontended inference 5 + 130.
         p = const_profile(gpu=130.0)
-        b = detector_delay_bounds(p, ContentionFree(), b_fetch_min=24.875,
-                                  b_fetch_max=32.875 + C30,
-                                  service=DelayDist.constant(155.0))
-        assert b.d_detector_min == pytest.approx(155.0 + 20.0 - (32.875 + C30), abs=1e-6)
-        assert b.d_detector_max == pytest.approx(155.0 + 20.0 - 24.875, abs=1e-9)
+        b_min, b_max = 24.875, 32.875 + C30
+        b = detector_delay_bounds(p, ContentionFree(), b_fetch_min=b_min,
+                                  b_fetch_max=b_max)
+        assert b.s_min == pytest.approx(15.0 + 24.875 + 135.0, abs=1e-9)
+        assert b.s_max == pytest.approx(15.0 + 32.875 + C30 + 135.0, abs=1e-9)
+        assert b.d_detector_min == pytest.approx(b.s_min + 20.0 - b_max, abs=1e-9)
+        assert b.d_detector_max == pytest.approx(b.s_max + 20.0 - b_min, abs=1e-9)
 
     def test_negative_bound_clamps_with_flag(self):
         p = const_profile(fetch=1.0, cpu=1.0, gpu=1.0, disp=1.0, inflation=0.0)
@@ -196,14 +194,13 @@ class TestThetaRule:
             disp_exec=DelayDist.constant(5.0),
             infer_inflation=ZERO_DELAY,
         )
-        b = blocking_range_dist(0.0, b_max)
-        s_od = service_distribution(p, OnDemand(), b)
-        theta = compute_theta_fetch(s_od.min, fetch_max, b_max)
-        s_zs = service_distribution(p, ZeroSlack(theta), b)
-        assert s_zs.max <= s_od.max + 1e-9
+        od = detector_delay_bounds(p, OnDemand(), 0.0, b_max)
+        theta = compute_theta_fetch(od.s_min, fetch_max, b_max)
+        zs = detector_delay_bounds(p, ZeroSlack(theta), 0.0, b_max)
+        assert zs.s_max <= od.s_max + 1e-9
         if theta > 0:
             # The delayed fetch barely touches the shortest cycle.
-            assert theta + fetch_max + b_max == pytest.approx(s_od.min, abs=1e-9)
+            assert theta + fetch_max + b_max == pytest.approx(od.s_min, abs=1e-9)
 
     @given(st.floats(1.0, 50.0), st.floats(0.0, 80.0))
     @settings(max_examples=50, deadline=None)

@@ -387,18 +387,35 @@ class TestCliUsageErrors:
         assert run_cli(["analyze", scenario_file, "--format", "xml"]) == 2
 
 
+# Scenario files with one bad value, as edits of FAST_SCENARIO.
+_BAD_SCENARIOS = {
+    "negative_seed": ("seed = 9", "seed = -1"),
+    "fast_camera": ("preset = c930e-640x480-30",
+                    "preset = c930e-640x480-30\nframe_rate = 9000"),
+    "wide_jitter": ("objects = 30", "objects = 30\ncapture_jitter_ms = 20"),
+    "negative_jitter": ("objects = 30", "objects = 30\ncapture_jitter_ms = -1"),
+}
+
+
 class TestCliBadValues:
     @pytest.mark.parametrize("argv, culprit", [
         (["validate", "default", "--seed", "-1"], "--seed"),
-        (["validate", "{negative_seed}"], "[sim] seed"),
+        (["validate", "{tmp}/negative_seed.ini"], "[sim] seed"),
         (["sweep", "default", "--param", "theta", "--values", "-5"], "--values"),
         (["sweep", "default", "--param", "queue_size", "--values", "-1"], "--values"),
         (["sweep", "default", "--param", "queue_size", "--values", "0.5"], "--values"),
+        (["sweep", "default", "--param", "frame_rate", "--values", "0"], "--values"),
+        (["sweep", "default", "--param", "frame_rate", "--values", "-5"], "--values"),
+        (["sweep", "default", "--param", "frame_rate", "--values", "1000"], "--values"),
+        (["analyze", "{tmp}/fast_camera.ini"], "[camera] frame_rate"),
+        (["simulate", "{tmp}/wide_jitter.ini"], "[sim] capture_jitter_ms"),
+        (["simulate", "{tmp}/negative_jitter.ini"], "[sim] capture_jitter_ms"),
     ])
     def test_exits_2_naming_the_culprit(self, argv, culprit, tmp_path):
-        path = tmp_path / "negative_seed.ini"
-        path.write_text(FAST_SCENARIO.replace("seed = 9", "seed = -1"))
-        argv = [a.replace("{negative_seed}", str(path)) for a in argv]
+        for name, (old, new) in _BAD_SCENARIOS.items():
+            assert old in FAST_SCENARIO
+            (tmp_path / f"{name}.ini").write_text(FAST_SCENARIO.replace(old, new))
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pipedelay.__file__)))
         proc = subprocess.run([sys.executable, "-m", "pipedelay.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
