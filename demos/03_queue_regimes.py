@@ -24,7 +24,7 @@ for name in ("case1", "case2", "case3"):
 
     print(f"{name}: {bounds.regime.name}")
     print(f"  arrivals      {bounds.arrivals.min:7.2f} .. {bounds.arrivals.max:7.2f} ms")
-    print(f"  service       {bounds.service_nominal.min:7.2f} .. {bounds.service_nominal.max:7.2f} ms")
+    print(f"  service       {bounds.service_min:7.2f} .. {bounds.service_max:7.2f} ms")
     print(f"  queue bounds  {bounds.queue.d_queue_min:7.2f} .. {bounds.queue.d_queue_max:7.2f} ms")
     print(f"  measured      {delays.min():7.2f} .. {delays.max():7.2f} ms"
           f"  (mean {delays.mean():.2f}, {len(delays)} frames, "

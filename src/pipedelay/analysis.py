@@ -1,10 +1,12 @@
 """End-to-end delay bounds and bound-vs-simulation validation.
 
-The per-component bound formulas assume every pipeline cycle stays
-within the service-interval extremes. Retrieval blocking (waiting for a
-frame still in transit) can stretch a cycle beyond the nominal service
-maximum, so the analyzer widens the cycle extremes by the blocking range
-before applying any formula that must hold for arbitrary cycles (camera
+The bounds read only stage extremes (`StageProfile.extremes`); no
+distribution is convolved here. The per-component formulas assume every
+pipeline cycle stays within the nominal cycle range that
+`detector_delay_bounds` computes. Retrieval blocking (waiting for a
+frame still in transit) can stretch a cycle beyond the nominal maximum,
+so the analyzer widens the cycle extremes by the blocking range before
+applying any formula that must hold for arbitrary cycles (camera
 capture gap, queue upper bound, queueless detector bounds).
 
 For the queued variant a saturation certificate - the worst transfer
@@ -17,6 +19,7 @@ retrieval; without it the bounds are widened so they stay sound
 everywhere.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +39,6 @@ from .detector import (
     StageProfile,
     blocking_bounds,
     detector_delay_bounds,
-    service_distribution,
 )
 from .dist import DelayDist
 from .queueing import QueueDelayBounds, QueueRegime, classify, queue_delay_bounds
@@ -48,7 +50,8 @@ class E2EBounds:
     variant_name: str
     regime: QueueRegime
     arrivals: DelayDist
-    service_nominal: DelayDist
+    service_min: float
+    service_max: float
     camera: CameraDelayBounds
     queue: QueueDelayBounds
     detector: DetectorDelayBounds
@@ -67,8 +70,8 @@ def analyze(
     """Bound every delay component of one pipeline variant."""
     warnings: list[str] = []
     arrivals = arrival_distribution(cam, usb)
-    s0 = service_distribution(profile, variant)
-    regime = classify(arrivals, s0)
+    nominal = detector_delay_bounds(profile, variant)
+    regime = classify(arrivals, nominal.s_min, nominal.s_max)
 
     tran_lo, tran_hi = transfer_delay_bounds(frame_size(cam), usb)
     b_lo, b_hi = blocking_bounds(cam, usb)
@@ -80,9 +83,9 @@ def analyze(
         det_wide = detector_delay_bounds(profile, variant, 0.0, b_hi)
         certified = (
             regime is QueueRegime.SERVICE_LIMITED
-            and tran_hi + arrivals.max <= q * s0.min
+            and tran_hi + arrivals.max <= q * nominal.s_min
         )
-        det = detector_delay_bounds(profile, variant, 0.0, 0.0) if certified else det_wide
+        det = nominal if certified else det_wide
         qd = queue_delay_bounds(
             regime, q, det.s_min, det_wide.s_max,
             tran_lo, tran_hi, arrivals.max, usb.urb_period_ms,
@@ -98,20 +101,15 @@ def analyze(
         s_for_camera = det_wide.s_max
     else:
         det = detector_delay_bounds(profile, variant, b_lo, b_hi)
-        qd = queue_delay_bounds(
-            regime, 0, det.s_min, det.s_max,
-            tran_lo, tran_hi, arrivals.max, usb.urb_period_ms,
-        )
+        qd = QueueDelayBounds(regime, 0, 0.0, 0.0)
         s_for_camera = det.s_max
     cam_b = camera_delay_bounds(cam, usb, s_for_camera)
 
     if det.clamped:
         warnings.append("detector lower bound clamped at zero")
     if variant.theta > 0:
-        others = max(
-            profile.infer_delay_dist(True).max, profile.disp_delay_dist(True).max
-        )
-        if variant.theta + det.b_fetch_min + profile.fetch_delay_dist(True).min > others:
+        (f_min, _), (_, i_max), (_, d_max) = profile.extremes(True)
+        if variant.theta + det.b_fetch_min + f_min > max(i_max, d_max):
             warnings.append(
                 "release delay makes the fetch branch dominate every cycle; "
                 "throughput will drop below the other variants"
@@ -123,7 +121,8 @@ def analyze(
         variant_name=variant.name,
         regime=regime,
         arrivals=arrivals,
-        service_nominal=s0,
+        service_min=nominal.s_min,
+        service_max=nominal.s_max,
         camera=cam_b,
         queue=qd,
         detector=det,
@@ -200,7 +199,8 @@ def validate_against_analysis(
     `shrink_ms` narrows each interval on both ends before checking; a
     positive value is a self-test knob that must make a healthy model
     report violations. The default tolerance only absorbs nanosecond
-    quantization of the simulator clock.
+    quantization of the simulator clock. Both must be finite and >= 0,
+    since a negative or NaN value would widen or void every check.
 
     Transients are excluded exactly where the analysis assumes them
     away: detector and end-to-end checks use frames with a full pipeline
@@ -209,6 +209,8 @@ def validate_against_analysis(
     a full queue whose slot was freed at a cycle boundary, with enough
     full cycles behind them.
     """
+    if not all(math.isfinite(x) and x >= 0 for x in (shrink_ms, atol)):
+        raise ValueError("shrink_ms and atol must be finite and >= 0")
     s = shrink_ms
     checks = []
     notes: list[str] = []

@@ -13,6 +13,7 @@ timestamps, no machine state, stable ordering. Exit codes: 0 success,
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -185,6 +186,8 @@ def _parse_values(text: str, param: str, parser: argparse.ArgumentParser):
             values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         parser.error(f"--values: expected 'a..b' or comma list, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        parser.error(f"--values: expected finite numbers, got {text!r}")
     if param == "queue_size" and any(v < 0 or v != int(v) for v in values):
         parser.error(f"--values: queue_size needs integers >= 0, got {text!r}")
     if param == "theta" and any(v < 0 for v in values):
@@ -237,14 +240,18 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+def _non_negative(conv):
+    """argparse type: a finite number >= 0 read by `conv`."""
+    def parse(text: str):
+        try:
+            value = conv(text)
+        except ValueError:
+            kind = "integer" if conv is int else "number"
+            raise argparse.ArgumentTypeError(f"invalid {kind} {text!r}") from None
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -256,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("scenario",
                        help="scenario file path or shipped preset name")
-        p.add_argument("--seed", type=_seed, default=None,
+        p.add_argument("--seed", type=_non_negative(int), default=None,
                        help="override the scenario seed")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="directory for CSV and trace outputs")
@@ -271,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit the per-event schedule")
     p = sub.add_parser("validate", help="check simulation against bounds")
     common(p)
-    p.add_argument("--shrink-bounds", type=float, default=0.0, metavar="MS",
+    p.add_argument("--shrink-bounds", type=_non_negative(float), default=0.0, metavar="MS",
                    help="narrow every bound by MS before checking (self-test)")
     p = sub.add_parser("sweep", help="simulate across one parameter")
     common(p)

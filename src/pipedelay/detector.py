@@ -11,10 +11,11 @@ Stage distributions describe uncontended execution; per-stage inflation
 terms are added whenever a stage shares its window with others.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .camera import CameraConfig, UsbLinkConfig, transfer_delay_bounds, frame_size
-from .dist import DelayDist, ZERO_DELAY, max_combine
+from .dist import DelayDist, ZERO_DELAY, convolve_all, max_combine
 
 
 def _const(v: float) -> DelayDist:
@@ -40,16 +41,27 @@ class StageProfile:
     infer_inflation: DelayDist = field(default_factory=lambda: _const(28.0))
     disp_inflation: DelayDist = field(default_factory=lambda: ZERO_DELAY)
 
+    def _parts(self, contended: bool):
+        """Fetch, inference and display, each as the delays it sums in
+        convolution order; inflation applies only while stages overlap."""
+        stages = ((self.fetch_exec, self.fetch_inflation),
+                  (self.infer_cpu, self.infer_gpu, self.infer_inflation),
+                  (self.disp_exec, self.disp_block, self.disp_inflation))
+        return stages if contended else tuple(parts[:-1] for parts in stages)
+
     def fetch_delay_dist(self, contended: bool) -> DelayDist:
-        return self.fetch_exec.convolve(self.fetch_inflation) if contended else self.fetch_exec
+        return convolve_all(self._parts(contended)[0])
 
     def infer_delay_dist(self, contended: bool) -> DelayDist:
-        base = self.infer_cpu.convolve(self.infer_gpu)
-        return base.convolve(self.infer_inflation) if contended else base
+        return convolve_all(self._parts(contended)[1])
 
     def disp_delay_dist(self, contended: bool) -> DelayDist:
-        base = self.disp_exec.convolve(self.disp_block)
-        return base.convolve(self.disp_inflation) if contended else base
+        return convolve_all(self._parts(contended)[2])
+
+    def extremes(self, contended: bool) -> tuple[tuple[float, float], ...]:
+        """(min, max) of each stage: the sums of its parts' minima and maxima."""
+        return tuple((sum(d.min for d in parts), sum(d.max for d in parts))
+                     for parts in self._parts(contended))
 
 
 @dataclass(frozen=True)
@@ -88,8 +100,8 @@ class ZeroSlack:
     phased = False
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
+        if not (math.isfinite(self.theta) and self.theta >= 0):
+            raise ValueError("theta must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -125,18 +137,10 @@ class DetectorDelayBounds:
     clamped: bool
 
 
-def _stage_dists(p: StageProfile, variant: PipelineVariant):
-    """Fetch, inference and display distributions as the variant's cycle
-    runs them: contended, except in the phased (contention-free) cycle."""
-    contended = not variant.phased
-    return (p.fetch_delay_dist(contended), p.infer_delay_dist(contended),
-            p.disp_delay_dist(contended))
-
-
 def service_distribution(p: StageProfile, variant: PipelineVariant) -> DelayDist:
     """Distribution of one detector cycle length when the fetch never
-    waits for a frame."""
-    fetch, infer, disp = _stage_dists(p, variant)
+    waits for a frame; the bounds read only its extremes."""
+    fetch, infer, disp = (convolve_all(parts) for parts in p._parts(not variant.phased))
     if variant.phased:
         return max_combine([fetch, disp]).convolve(infer)
     return max_combine([fetch.shift(variant.theta), infer, disp])
@@ -179,20 +183,20 @@ def detector_delay_bounds(
     """
     if b_fetch_min < 0 or b_fetch_max < b_fetch_min:
         raise ValueError("need 0 <= b_fetch_min <= b_fetch_max")
-    fetch, infer, disp = _stage_dists(p, variant)
+    (f_min, f_max), (i_min, i_max), (d_min, d_max) = p.extremes(not variant.phased)
     theta = variant.theta
     if variant.phased:
         cycles = 1
-        s_min = max(fetch.min + b_fetch_min, disp.min) + infer.min
-        s_max = max(fetch.max + b_fetch_max, disp.max) + infer.max
+        s_min = max(f_min + b_fetch_min, d_min) + i_min
+        s_max = max(f_max + b_fetch_max, d_max) + i_max
     else:
         cycles = 2
-        s_min = max(fetch.min + b_fetch_min + theta, infer.min, disp.min)
-        s_max = max(fetch.max + b_fetch_max + theta, infer.max, disp.max)
+        s_min = max(f_min + b_fetch_min + theta, i_min, d_min)
+        s_max = max(f_max + b_fetch_max + theta, i_max, d_max)
     subtract_b = variant.queue_size == 0
 
-    lo = cycles * s_min + disp.min - theta
-    hi = cycles * s_max + disp.max - theta
+    lo = cycles * s_min + d_min - theta
+    hi = cycles * s_max + d_max - theta
     if subtract_b:
         lo -= b_fetch_max
         hi -= b_fetch_min
@@ -200,13 +204,13 @@ def detector_delay_bounds(
         # A queue that can run dry: the cycle that dequeues the frame may
         # spend almost everything on the wait, leaving only the fetch
         # execution part between retrieval and the cycle boundary.
-        lo = min(lo, fetch.min + s_min + disp.min)
+        lo = min(lo, f_min + s_min + d_min)
     clamped = lo < 0
     return DetectorDelayBounds(
         s_min=s_min,
         s_max=s_max,
-        d_disp_min=disp.min,
-        d_disp_max=disp.max,
+        d_disp_min=d_min,
+        d_disp_max=d_max,
         b_fetch_min=b_fetch_min,
         b_fetch_max=b_fetch_max,
         theta=theta,

@@ -223,9 +223,6 @@ class DistSummary:
     p50: float
     p99: float
 
-    def as_row(self) -> list[float]:
-        return [self.min, self.max, self.mean, self.p50, self.p99]
-
 
 def summarize(d: DelayDist) -> DistSummary:
     return DistSummary(

@@ -1,7 +1,7 @@
 """Queue regime classification and queuing delay bounds.
 
-The relation between the frame arrival interval distribution and the
-detector cycle distribution decides how the frame queue behaves: when
+The relation between the frame arrival interval support and the
+detector cycle range decides how the frame queue behaves: when
 every arrival interval exceeds every cycle the queue stays empty and
 frames are consumed on arrival; when every arrival interval is shorter
 than every cycle the queue stays full and each frame waits for a full
@@ -29,11 +29,12 @@ class QueueDelayBounds:
     d_queue_max: float
 
 
-def classify(arrivals: DelayDist, services: DelayDist) -> QueueRegime:
-    """Compare arrival interval and cycle supports; ties count as MIXED."""
-    if arrivals.min > services.max:
+def classify(arrivals: DelayDist, s_min: float, s_max: float) -> QueueRegime:
+    """Compare the arrival interval support with the cycle range [s_min,
+    s_max], which comes from stage extremes only; ties count as MIXED."""
+    if arrivals.min > s_max:
         return QueueRegime.ARRIVAL_LIMITED
-    if arrivals.max < services.min:
+    if arrivals.max < s_min:
         return QueueRegime.SERVICE_LIMITED
     return QueueRegime.MIXED
 

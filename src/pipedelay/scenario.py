@@ -56,6 +56,7 @@ Parse problems raise ScenarioError naming the offending section and key.
 """
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 
@@ -69,7 +70,7 @@ from .detector import (
     ZeroSlack,
     blocking_bounds,
     compute_theta_fetch,
-    service_distribution,
+    detector_delay_bounds,
 )
 from .dist import DelayDist, load_samples_csv
 from .presets import CAMERA_PRESETS, PROFILE_PRESETS, SCENARIO_PRESETS
@@ -172,11 +173,14 @@ class _Section:
             return default
         raw = self.items[key]
         try:
-            return conv(raw)
+            value = conv(raw)
         except ValueError:
             kind = conv.__name__.replace("float", "number").replace("int", "integer")
             raise ScenarioError(
                 f"[{self.name}] {key}: invalid {kind} {raw!r}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioError(f"[{self.name}] {key}: must be finite, got {raw!r}")
+        return value
 
 
 def _build_stage(sec: _Section, base_dir: str) -> DelayDist:
@@ -188,7 +192,11 @@ def _build_stage(sec: _Section, base_dir: str) -> DelayDist:
     if kind == "dist":
         return _parse_dist_literal(sec.items["dist"], f"[{sec.name}] dist")
     if kind == "const":
-        return DelayDist.constant(sec.get("const", float, None))
+        value = sec.get("const", float, None)
+        try:
+            return DelayDist.constant(value)
+        except ValueError as exc:
+            raise ScenarioError(f"[{sec.name}] const: {exc}") from None
     path = os.path.join(base_dir, sec.items["csv"])
     if not os.path.isfile(path):
         raise ScenarioError(f"[{sec.name}] csv: no such file: {path}")
@@ -317,10 +325,9 @@ def parse_scenario(text: str, name: str = "scenario",
     if "zero_slack" in raw_variants:
         raw_theta = section("zero_slack").items.get("theta", "auto")
         if raw_theta.strip().lower() == "auto":
-            s0 = service_distribution(profile, OnDemand())
             theta = compute_theta_fetch(
-                s0.min, profile.fetch_delay_dist(True).max,
-                blocking_bounds(camera, usb)[1])
+                detector_delay_bounds(profile, OnDemand()).s_min,
+                profile.extremes(True)[0][1], blocking_bounds(camera, usb)[1])
         else:
             theta = section("zero_slack").get("theta", float, None)
             if theta < 0:

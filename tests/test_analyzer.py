@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pipedelay import detector, dist
 from pipedelay.analysis import analyze, compare_variants, validate_against_analysis
 from pipedelay.camera import CameraConfig, UsbLinkConfig
 from pipedelay.detector import OnDemand, StageProfile, Vanilla, ZeroSlack
@@ -66,7 +67,7 @@ class TestMicroScenarioBounds:
     def test_regime_and_inputs(self, bounds):
         assert bounds.regime is QueueRegime.ARRIVAL_LIMITED
         assert bounds.arrivals.points() == [(10.0, 1.0)]
-        assert bounds.service_nominal.points() == [(8.0, 1.0)]
+        assert (bounds.service_min, bounds.service_max) == (8.0, 8.0)
         assert not bounds.saturation_certified
 
     def test_component_bounds(self, bounds):
@@ -157,6 +158,22 @@ class TestCertifiedSaturation:
         assert not report.ok
         assert report.total_violations > 0
 
+    @pytest.mark.parametrize("kwargs", [
+        {"shrink_ms": -50.0}, {"shrink_ms": float("nan")}, {"shrink_ms": float("inf")},
+        {"atol": -1e-5}, {"atol": float("nan")},
+    ])
+    def test_widening_shrink_or_tolerance_is_rejected(self, bounds, kwargs):
+        # A negative shrink or tolerance widens every interval and NaN makes
+        # every comparison false; either could turn a FAIL into a PASS.
+        r = run(
+            SimConfig(
+                camera=VGA30, usb=USB_VGA30, profile=HEAVY_PROFILE,
+                variant=Vanilla(4), duration_ms=1000.0, seed=3, n_objects=5,
+            )
+        )
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            validate_against_analysis(r, bounds, **kwargs)
+
 
 def _plain(obj):
     """Dataclass fields as nested dicts, distributions as point lists."""
@@ -193,6 +210,23 @@ class TestQueuelessEquivalence:
         assert b.detector.d_detector_max == pytest.approx(30.0)
         assert b.total_min == pytest.approx(6.0)
         assert b.total_max == pytest.approx(53.0)
+
+
+class TestExtremesOnly:
+    @pytest.mark.parametrize("name", sorted(SCENARIO_PRESETS))
+    def test_analyze_builds_no_distribution(self, name, monkeypatch):
+        # The bounds read stage extremes only; neither a convolution nor a
+        # max-combination may run inside analyze.
+        scenario = load_scenario(name)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("analyze built a distribution")
+
+        monkeypatch.setattr(DelayDist, "convolve", forbidden)
+        monkeypatch.setattr(dist, "max_combine", forbidden)
+        monkeypatch.setattr(detector, "max_combine", forbidden)
+        for variant in (*scenario.variants, Vanilla(0)):
+            analyze(scenario.camera, scenario.usb, scenario.profile, variant)
 
 
 class TestWarnings:

@@ -27,6 +27,13 @@ USB_QVGA20 = UsbLinkConfig(bytes_per_microframe=512, urb_microframes=32)
 
 C30 = 100.0 / 3.0  # 30 fps cycle, kept exact as a fraction
 
+# One stage delay: 1 to 4 points on a 1 us grid up to 200 ms.
+STAGE = st.lists(
+    st.tuples(st.integers(0, 200_000), st.integers(1, 5)),
+    min_size=1, max_size=4, unique_by=lambda pt: pt[0],
+).map(lambda pts: DelayDist.from_points(
+    [(k / 1000, w / sum(w for _, w in pts)) for k, w in pts]))
+
 
 def const_profile(fetch=15.0, cpu=5.0, gpu=140.0, disp=20.0, inflation=28.0):
     return StageProfile(
@@ -58,6 +65,26 @@ class TestStageComposition:
         )
         d = p.infer_delay_dist(contended=False)
         assert d.points() == [(144.0, 0.5), (146.0, 0.5)]
+
+
+class TestStageExtremes:
+    @given(st.lists(STAGE, min_size=8, max_size=8), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_extremes_are_the_convolved_support_ends(self, stages, contended):
+        p = StageProfile(*stages)
+        dists = (p.fetch_delay_dist(contended), p.infer_delay_dist(contended),
+                 p.disp_delay_dist(contended))
+        assert p.extremes(contended) == tuple((d.min, d.max) for d in dists)
+
+    @given(st.lists(STAGE, min_size=8, max_size=8), st.integers(0, 50_000))
+    @settings(max_examples=60, deadline=None)
+    def test_cycle_range_is_the_service_support(self, stages, theta_us):
+        p = StageProfile(*stages)
+        for v in (Vanilla(4), OnDemand(), ZeroSlack(theta_us / 1000), ContentionFree()):
+            b = detector_delay_bounds(p, v)
+            s = service_distribution(p, v)
+            assert b.s_min == pytest.approx(s.min, abs=1e-9)
+            assert b.s_max == pytest.approx(s.max, abs=1e-9)
 
 
 class TestServiceDistribution:

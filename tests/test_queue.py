@@ -16,17 +16,17 @@ def two_point(lo, hi):
 
 class TestClassify:
     def test_arrival_limited(self):
-        assert classify(two_point(48, 52), two_point(30, 40)) is QueueRegime.ARRIVAL_LIMITED
+        assert classify(two_point(48, 52), 30, 40) is QueueRegime.ARRIVAL_LIMITED
 
     def test_service_limited(self):
-        assert classify(two_point(32, 36), two_point(150, 163)) is QueueRegime.SERVICE_LIMITED
+        assert classify(two_point(32, 36), 150, 163) is QueueRegime.SERVICE_LIMITED
 
     def test_exact_tie_is_mixed(self):
         d = DelayDist.constant(33.0)
-        assert classify(d, d) is QueueRegime.MIXED
+        assert classify(d, 33.0, 33.0) is QueueRegime.MIXED
 
     def test_overlap_is_mixed(self):
-        assert classify(two_point(30, 50), two_point(40, 60)) is QueueRegime.MIXED
+        assert classify(two_point(30, 50), 40, 60) is QueueRegime.MIXED
 
     @given(
         st.floats(1.0, 100.0), st.floats(0.0, 50.0),
@@ -36,7 +36,7 @@ class TestClassify:
     def test_exactly_one_regime(self, a_lo, a_w, s_lo, s_w):
         arrivals = two_point(a_lo, a_lo + a_w)
         services = two_point(s_lo, s_lo + s_w)
-        regime = classify(arrivals, services)
+        regime = classify(arrivals, services.min, services.max)
         hits = [
             arrivals.min > services.max,
             arrivals.max < services.min,

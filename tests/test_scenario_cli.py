@@ -394,6 +394,19 @@ _BAD_SCENARIOS = {
                     "preset = c930e-640x480-30\nframe_rate = 9000"),
     "wide_jitter": ("objects = 30", "objects = 30\ncapture_jitter_ms = 20"),
     "negative_jitter": ("objects = 30", "objects = 30\ncapture_jitter_ms = -1"),
+    "nan_jitter": ("objects = 30", "objects = 30\ncapture_jitter_ms = nan"),
+    "nan_duration": ("duration_ms = 4000", "duration_ms = nan"),
+    "inf_duration": ("duration_ms = 4000", "duration_ms = inf"),
+    "nan_theta": ("variants = vanilla",
+                  "variants = zero_slack\n\n[zero_slack]\ntheta = nan"),
+    "inf_theta": ("variants = vanilla",
+                  "variants = zero_slack\n\n[zero_slack]\ntheta = inf"),
+    "nan_const": ("preset = xavier-yolov3-608",
+                  "preset = xavier-yolov3-608\n\n[profile.fetch_exec]\nconst = nan"),
+    "negative_const": ("preset = xavier-yolov3-608",
+                       "preset = xavier-yolov3-608\n\n[profile.fetch_exec]\nconst = -1"),
+    "nan_capture_floor": ("preset = c930e-640x480-30",
+                          "preset = c930e-640x480-30\nmin_capture_delay = nan"),
 }
 
 
@@ -410,6 +423,21 @@ class TestCliBadValues:
         (["analyze", "{tmp}/fast_camera.ini"], "[camera] frame_rate"),
         (["simulate", "{tmp}/wide_jitter.ini"], "[sim] capture_jitter_ms"),
         (["simulate", "{tmp}/negative_jitter.ini"], "[sim] capture_jitter_ms"),
+        (["sweep", "default", "--param", "theta", "--values", "nan"], "--values"),
+        (["sweep", "default", "--param", "theta", "--values", "inf"], "--values"),
+        (["sweep", "default", "--param", "queue_size", "--values", "nan"], "--values"),
+        (["sweep", "default", "--param", "queue_size", "--values", "inf"], "--values"),
+        (["simulate", "{tmp}/nan_duration.ini"], "[sim] duration_ms"),
+        (["simulate", "{tmp}/inf_duration.ini"], "[sim] duration_ms"),
+        (["analyze", "{tmp}/nan_theta.ini"], "[zero_slack] theta"),
+        (["analyze", "{tmp}/inf_theta.ini"], "[zero_slack] theta"),
+        (["analyze", "{tmp}/nan_const.ini"], "[profile.fetch_exec] const"),
+        (["analyze", "{tmp}/negative_const.ini"], "[profile.fetch_exec] const"),
+        (["analyze", "{tmp}/nan_capture_floor.ini"], "[camera] min_capture_delay"),
+        (["validate", "{tmp}/nan_jitter.ini"], "[sim] capture_jitter_ms"),
+        (["validate", "default", "--shrink-bounds", "-50"], "--shrink-bounds"),
+        (["validate", "default", "--shrink-bounds", "nan"], "--shrink-bounds"),
+        (["validate", "default", "--shrink-bounds", "inf"], "--shrink-bounds"),
     ])
     def test_exits_2_naming_the_culprit(self, argv, culprit, tmp_path):
         for name, (old, new) in _BAD_SCENARIOS.items():
