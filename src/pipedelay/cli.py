@@ -129,6 +129,9 @@ def cmd_simulate(args) -> int:
     results = _simulate_all(scenario, args.seed, args.trace)
     rows = [_summary_row(r) for r in results]
     _emit(_SUMMARY_HEADERS, rows, args.format)
+    for r in results:
+        for w in r.warnings:
+            print(f"note: {r.variant_name}: {w}")
     if args.out:
         _write(args.out, "summary.csv", _csv(_SUMMARY_HEADERS, rows))
         for r in results:
@@ -165,7 +168,7 @@ def cmd_validate(args) -> int:
                          c.observed_max, "ok" if c.ok else "FAIL"))
         failed = failed or not report.ok
         notes.extend(f"{bounds.variant_name}: {w}"
-                     for w in (*bounds.warnings, *report.notes))
+                     for w in (*bounds.warnings, *report.notes, *result.warnings))
     headers = ("variant", "check", "n", "violations", "bound_min", "bound_max",
                "observed_min", "observed_max", "status")
     _emit(headers, rows, args.format)
@@ -186,10 +189,14 @@ def _parse_values(text: str, param: str, parser: argparse.ArgumentParser):
             values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         parser.error(f"--values: expected 'a..b' or comma list, got {text!r}")
+    if not values:
+        parser.error(f"--values: no value in {text!r}")
     if not all(map(math.isfinite, values)):
         parser.error(f"--values: expected finite numbers, got {text!r}")
     if param == "queue_size" and any(v < 0 or v != int(v) for v in values):
         parser.error(f"--values: queue_size needs integers >= 0, got {text!r}")
+    if param == "nn_resolution" and any(v != int(v) for v in values):
+        parser.error(f"--values: nn_resolution needs integers, got {text!r}")
     if param == "theta" and any(v < 0 for v in values):
         parser.error(f"--values: theta needs values >= 0, got {text!r}")
     return values

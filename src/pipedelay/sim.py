@@ -28,10 +28,21 @@ variants differ only in two things:
   in cycles where at least two of them are active. The phased
   (contention-free) shape runs fetch and display together and then
   inference alone, all uncontended.
+
+The loop carries the recurrence state only: the next undecided frame, the
+FIFO, the occupied pipeline slots and the busy sums. Frames dropped at a
+full FIFO, or skipped by a queueless variant, are passed over by one
+bisection of the decision instants per admission. The loop records the
+fetched frames, their retrieval instants and display ends, and the cycle
+lengths; drops, queue occupancy, admission depths, cycle starts,
+steady-cycle masks, fetch blocking and the trace events are derived from
+these after the loop.
 """
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 import math
 
 import numpy as np
@@ -145,34 +156,20 @@ class SimResult:
         return float(e2e.mean()), float(np.percentile(e2e, 99))
 
 
-class _Sampler:
-    """Chunk-buffered ns-valued draws from one DelayDist."""
+def _stream(dist: DelayDist, rng: np.random.Generator):
+    """Endless ns-valued draws from one DelayDist, drawn `_CHUNK` at a time."""
+    vals = np.rint(dist.values * _MS).astype(np.int64)
+    if len(vals) == 1:
+        return repeat(int(vals[0]))
+    cum = np.cumsum(dist.probs)
 
-    __slots__ = ("const", "vals", "cum", "rng", "buf", "pos")
+    def chunks():
+        while True:
+            idx = np.searchsorted(cum, rng.random(_CHUNK), side="right")
+            np.clip(idx, 0, len(vals) - 1, out=idx)
+            yield vals[idx].tolist()
 
-    def __init__(self, dist: DelayDist, rng: np.random.Generator):
-        vals = np.rint(dist.values * _MS).astype(np.int64)
-        if len(vals) == 1:
-            self.const = int(vals[0])
-        else:
-            self.const = None
-            self.vals = vals
-            self.cum = np.cumsum(dist.probs)
-            self.rng = rng
-            self.buf = []
-            self.pos = 0
-
-    def draw(self) -> int:
-        if self.const is not None:
-            return self.const
-        if self.pos >= len(self.buf):
-            idx = np.searchsorted(self.cum, self.rng.random(_CHUNK), side="right")
-            np.clip(idx, 0, len(self.vals) - 1, out=idx)
-            self.buf = self.vals[idx].tolist()
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
+    return chain.from_iterable(chunks())
 
 
 def _camera_timeline(cfg: SimConfig, rng: np.random.Generator):
@@ -203,154 +200,103 @@ def _camera_timeline(cfg: SimConfig, rng: np.random.Generator):
     return capture, decision, delivery
 
 
-@dataclass
-class _Samplers:
-    fetch_c: _Sampler
-    fetch_u: _Sampler
-    infer_c: _Sampler
-    infer_u: _Sampler
-    disp_c: _Sampler
-    disp_u: _Sampler
-
-
-def _make_samplers(profile: StageProfile, ss: np.random.SeedSequence) -> _Samplers:
-    children = ss.spawn(6)
-    rngs = [np.random.default_rng(c) for c in children]
-    return _Samplers(
-        fetch_c=_Sampler(profile.fetch_delay_dist(True), rngs[0]),
-        fetch_u=_Sampler(profile.fetch_delay_dist(False), rngs[1]),
-        infer_c=_Sampler(profile.infer_delay_dist(True), rngs[2]),
-        infer_u=_Sampler(profile.infer_delay_dist(False), rngs[3]),
-        disp_c=_Sampler(profile.disp_delay_dist(True), rngs[4]),
-        disp_u=_Sampler(profile.disp_delay_dist(False), rngs[5]),
-    )
-
-
-def _run_cycles(decision, delivery, queue_size, theta_ns, phased, sam: _Samplers, trace):
+def _run_cycles(decision, delivery, queue_size, theta_ns, phased, streams):
     """The detector cycle loop of every variant (see the module docstring).
 
     `decision` and `delivery` are per-frame instants in ns; `queue_size`
     is the FIFO size Q (0 for the queueless variants), `theta_ns` the fetch
-    release delay, and `phased` selects the contention-free cycle shape.
+    release delay, and `phased` selects the contention-free cycle shape;
+    `streams` are the draw iterators of fetch, inference and display, each
+    contended then uncontended. The loop carries only the recurrence
+    state: the next undecided frame, the FIFO, the occupied pipeline slots
+    and the busy sums. It returns the fetched frames, their retrieval
+    instants and display ends (both in fetch order), the cycle lengths, the
+    busy sums and the end instant; `run` derives everything else from these.
     """
     n_frames = len(decision)
-    decision = decision + [_NEVER]   # sentinel: the admission loops need no bounds check
-    queue = deque()                  # (frame, queue depth at admission)
+    decision = decision + [_NEVER]   # sentinel: the admission loop needs no bounds check
+    fetch_c, fetch_u, infer_c, infer_u, disp_c, disp_u = (s.__next__ for s in streams)
+    queue = deque()
     ptr = 0
     now = 0
-    infer_f = -1
-    disp_f = -1
-    display_end = [-1] * n_frames
+    infer_on = disp_on = False
     fetched = []
     dequeue = []
-    ahead = []
-    bfetch = []
-    cyc_start = []
+    display_end = []
     cyc_len = []
-    cyc_steady = []
-    occ_t = []
-    occ_d = []
-    drops = 0
-    busy = [0, 0, 0]
-    drop_event = "drop" if queue_size else "skip"
-    full_slots = 2 if phased else 3
+    busy_f = busy_i = busy_d = 0
 
-    def admit(until):
-        """Admit, in order, every frame decided at or before `until`: accept
-        while the queue has room, then drop the rest (the queue only drains
-        at retrievals, so once full it stays full here)."""
-        nonlocal ptr, drops
-        k = ptr
+    def admit(k, until):
+        """Admit, in order, every frame from `k` on decided at or before
+        `until`: accept while the queue has room, then pass over the rest
+        as dropped (the queue only drains at retrievals, so once full it
+        stays full here). Returns the next frame to decide."""
+        while len(queue) < queue_size and decision[k] <= until:
+            queue.append(k)
+            k += 1
         if decision[k] > until:
-            return
-        depth = len(queue)
-        while depth < queue_size and decision[k] <= until:
-            queue.append((k, depth))
-            depth += 1
-            occ_t.append(decision[k])
-            occ_d.append(depth)
-            if trace is not None:
-                trace.append((decision[k], "accept", k, depth))
-            k += 1
-        first_drop = k
-        while decision[k] <= until:
-            if trace is not None:
-                trace.append((decision[k], drop_event, k, queue_size))
-            k += 1
-        drops += k - first_drop
-        ptr = k
+            return k
+        return bisect_right(decision, until, k)
 
     while True:
         release = now + theta_ns
-        admit(release)
-        head = -1
+        if decision[ptr] <= release:
+            ptr = admit(ptr, release)
         if queue:
-            head = queue[0][0]
+            head = queue[0]
         elif ptr < n_frames:
             # Starved: the next frame to be decided is taken on arrival. With
             # a queue it still passes through it: the admission below accepts it.
             head = ptr
             if not queue_size:
                 ptr += 1
+        elif infer_on or disp_on:
+            head = -1
+        else:
+            break
         if head >= 0:
             deq = delivery[head]
             if deq < release:
                 deq = release
             # Decisions up to the retrieval instant still see the head in place.
-            admit(deq)
-            depth = 0
+            if decision[ptr] <= deq:
+                ptr = admit(ptr, deq)
             if queue_size:
-                depth = queue.popleft()[1]
-                occ_t.append(deq)
-                occ_d.append(len(queue))
-            if trace is not None:
-                trace.append((deq, "retrieve", head, len(queue)))
+                queue.popleft()
             fetched.append(head)
             dequeue.append(deq)
-            ahead.append(depth)
-            bfetch.append(deq - release)
 
-        n_active = (head >= 0) + (infer_f >= 0) + (disp_f >= 0)
-        if n_active == 0:
-            break
-        contended = n_active >= 2 and not phased
+        contended = not phased and (head >= 0) + infer_on + disp_on >= 2
         longest = 0
         if head >= 0:
-            e = (sam.fetch_c if contended else sam.fetch_u).draw()
-            busy[0] += e
-            longest = (deq + e) - now
-        if infer_f >= 0:
-            stage = (sam.infer_c if contended else sam.infer_u).draw()
-            busy[1] += stage
+            stage = fetch_c() if contended else fetch_u()
+            busy_f += stage
+            longest = (deq + stage) - now
+        if infer_on:
+            stage = infer_c() if contended else infer_u()
+            busy_i += stage
             if stage > longest:
                 longest = stage
-        if disp_f >= 0:
-            stage = (sam.disp_c if contended else sam.disp_u).draw()
-            busy[2] += stage
-            display_end[disp_f] = now + stage
+        if disp_on:
+            stage = disp_c() if contended else disp_u()
+            busy_d += stage
+            display_end.append(now + stage)
             if stage > longest:
                 longest = stage
-        cyc_start.append(now)
-        cyc_steady.append(n_active == full_slots)
         if phased:
             # Inference of this cycle's frame runs alone after fetch and display.
             if head >= 0:
-                stage = sam.infer_u.draw()
-                busy[1] += stage
+                stage = infer_u()
+                busy_i += stage
                 longest += stage
-            disp_f = head
+            disp_on = head >= 0
         else:
-            disp_f = infer_f
-            infer_f = head
+            disp_on = infer_on
+            infer_on = head >= 0
         cyc_len.append(longest)
         now += longest
 
-    return dict(
-        fetched=fetched, bfetch=bfetch, dequeue=dequeue, display_end=display_end,
-        ahead=ahead, cyc_start=cyc_start, cyc_len=cyc_len, cyc_steady=cyc_steady,
-        occ_t=occ_t, occ_d=occ_d, drops=drops,
-        busy=busy, end=now,
-    )
+    return fetched, dequeue, display_end, cyc_len, (busy_f, busy_i, busy_d), now
 
 
 def run(cfg: SimConfig) -> SimResult:
@@ -361,33 +307,72 @@ def run(cfg: SimConfig) -> SimResult:
 
     capture, decision, delivery = _camera_timeline(cfg, rng_cam)
     n_frames = len(capture)
-    trace: list | None = [] if cfg.trace else None
-    if trace is not None:
-        for k in range(n_frames):
-            trace.append((int(capture[k]), "capture", k, 0))
 
-    sam = _make_samplers(cfg.profile, ss_stages)
-    dec_list = decision.tolist()
-    del_list = delivery.tolist()
+    p = cfg.profile
+    dists = (p.fetch_delay_dist(True), p.fetch_delay_dist(False),
+             p.infer_delay_dist(True), p.infer_delay_dist(False),
+             p.disp_delay_dist(True), p.disp_delay_dist(False))
+    streams = [_stream(d, np.random.default_rng(c)) for d, c in zip(dists, ss_stages.spawn(6))]
 
     variant = cfg.variant
     queue_size, phased = variant.queue_size, variant.phased
     theta_ns = int(round(variant.theta * _MS))
-    state = _run_cycles(dec_list, del_list, queue_size, theta_ns, phased, sam, trace)
+    fetched, dequeue_ns, disp_ns, cyc_len, busy, span_ns = _run_cycles(
+        decision.tolist(), delivery.tolist(), queue_size, theta_ns, phased, streams)
 
-    fetched = np.asarray(state["fetched"], dtype=np.int64)
+    fetched = np.asarray(fetched, dtype=np.int64)
     n_fetched = len(fetched)
     warnings: list[str] = []
     if n_fetched == 0:
         warnings.append("no frame was ever retrieved; run too short")
+    dequeue_ns = np.asarray(dequeue_ns, dtype=np.int64)
+    disp_ns = np.asarray(disp_ns, dtype=np.int64)
+    cyc_len = np.asarray(cyc_len, dtype=np.int64)
+    # Every cycle starts where the previous one ends, and the fetching
+    # cycles come first: once the FIFO and the camera run dry they stay dry.
+    cyc_start = np.cumsum(cyc_len) - cyc_len
+    b_ns = dequeue_ns - cyc_start[:n_fetched] - theta_ns
+    # A cycle has every slot occupied once the pipeline has filled (one
+    # fetch ahead for the phased shape, two for the pipelined one) and
+    # while it still fetches.
+    cyc_idx = np.arange(len(cyc_len))
+    cyc_steady = (cyc_idx >= (1 if phased else 2)) & (cyc_idx < n_fetched)
 
-    dequeue_ns = np.asarray(state["dequeue"], dtype=np.int64)
-    display_end_all = np.asarray(state["display_end"], dtype=np.int64)
-    disp_ns = display_end_all[fetched] if n_fetched else np.zeros(0, dtype=np.int64)
-    b_ns = np.asarray(state["bfetch"], dtype=np.int64)
-    occ_ns = np.asarray(state["occ_t"], dtype=np.int64)
-    occ_depth = np.asarray(state["occ_d"], dtype=np.int64)
+    # With a queue, the accepted frames are exactly the fetched ones, in
+    # order. Merging accepts and retrievals by instant, an accept first at
+    # a tie, gives the occupancy after each; without a queue there is none.
+    order = np.arange(n_fetched)
+    if queue_size:
+        accept_ns = decision[fetched]
+        retrieved_before = np.searchsorted(dequeue_ns, accept_ns, side="left")
+        accepted_by = np.searchsorted(accept_ns, dequeue_ns, side="right")
+        ahead = order - retrieved_before
+        left_behind = accepted_by - order - 1
+        occ_ns = np.empty(2 * n_fetched, dtype=np.int64)
+        occ_depth = np.empty(2 * n_fetched, dtype=np.int64)
+        occ_ns[order + retrieved_before] = accept_ns
+        occ_depth[order + retrieved_before] = ahead + 1
+        occ_ns[order + accepted_by] = dequeue_ns
+        occ_depth[order + accepted_by] = left_behind
+    else:
+        ahead = left_behind = np.zeros(n_fetched, dtype=np.int64)
+        occ_ns = occ_depth = np.zeros(0, dtype=np.int64)
     full = np.flatnonzero(occ_depth == queue_size)
+
+    trace = None
+    if cfg.trace:
+        # Events are (time_ns, kind, frame, detail), sorted by time, kind and
+        # frame; detail is the queue depth after an accept or a retrieval, Q
+        # for a drop or skip and 0 for a capture.
+        dropped = np.setdiff1d(np.arange(n_frames), fetched, assume_unique=True)
+        frames = fetched.tolist()
+        trace = list(zip(capture.tolist(), repeat("capture"), range(n_frames), repeat(0)))
+        trace += zip(decision[dropped].tolist(), repeat("drop" if queue_size else "skip"),
+                     dropped.tolist(), repeat(queue_size))
+        if queue_size:
+            trace += zip(accept_ns.tolist(), repeat("accept"), frames, (ahead + 1).tolist())
+        trace += zip(dequeue_ns.tolist(), repeat("retrieve"), frames, left_behind.tolist())
+        trace.sort()
 
     # Frames with a fully occupied pipeline on both sides of their journey;
     # analytical steady-state bounds apply to these.
@@ -409,30 +394,21 @@ def run(cfg: SimConfig) -> SimResult:
         window = cfg.duration_ms * cfg.object_window_frac * _MS
         obj_ns = np.sort(rng_obj.integers(0, max(1, int(window)), cfg.n_objects))
     floor_ns = int(round(cfg.camera.min_capture_delay * _MS))
-    fetched_captures = capture[fetched] if n_fetched else np.zeros(0, dtype=np.int64)
-    pos = np.searchsorted(fetched_captures, obj_ns + floor_ns, side="left")
+    pos = np.searchsorted(capture[fetched], obj_ns + floor_ns, side="left")
     hit = pos < n_fetched
+    hit_pos = pos[hit]
+    object_frame = np.full(len(obj_ns), -1, dtype=np.int64)
+    object_frame[hit] = fetched[hit_pos]
     e2e = np.full(len(obj_ns), np.nan)
     cam_delay = np.full(len(obj_ns), np.nan)
-    if n_fetched:
-        object_frame = np.where(hit, fetched[np.minimum(pos, n_fetched - 1)], -1)
-        hit_frames = object_frame[hit]
-        e2e[hit] = (display_end_all[hit_frames] - obj_ns[hit]) / _MS
-        cam_delay[hit] = (delivery[hit_frames] - obj_ns[hit]) / _MS
-    else:
-        object_frame = np.full(len(obj_ns), -1, dtype=np.int64)
+    e2e[hit] = (disp_ns[hit_pos] - obj_ns[hit]) / _MS
+    cam_delay[hit] = (delivery[object_frame[hit]] - obj_ns[hit]) / _MS
     missed = int(len(obj_ns) - hit.sum())
 
-    span_ns = state["end"]
-    busy = state["busy"]
     per_stage_busy = {
-        "fetch": busy[0] / span_ns if span_ns else 0.0,
-        "infer": busy[1] / span_ns if span_ns else 0.0,
-        "display": busy[2] / span_ns if span_ns else 0.0,
+        stage: t / span_ns if span_ns else 0.0
+        for stage, t in zip(("fetch", "infer", "display"), busy)
     }
-
-    if trace is not None:
-        trace.sort(key=lambda ev: (ev[0], ev[1], ev[2]))
 
     return SimResult(
         variant_name=cfg.variant.name,
@@ -444,14 +420,14 @@ def run(cfg: SimConfig) -> SimResult:
         fetched_frames=fetched,
         dequeue_ms=dequeue_ns / _MS,
         b_fetch_ms=b_ns / _MS,
-        admit_ahead=np.asarray(state["ahead"], dtype=np.int64),
-        queue_delays=(dequeue_ns - delivery[fetched]) / _MS if n_fetched else np.zeros(0),
-        detector_delays=(disp_ns - dequeue_ns) / _MS if n_fetched else np.zeros(0),
+        admit_ahead=ahead,
+        queue_delays=(dequeue_ns - delivery[fetched]) / _MS,
+        detector_delays=(disp_ns - dequeue_ns) / _MS,
         display_end_ms=disp_ns / _MS,
         steady_frame_mask=steady,
-        cycle_start_ms=np.asarray(state["cyc_start"], dtype=np.int64) / _MS,
-        cycle_times=np.asarray(state["cyc_len"], dtype=np.int64) / _MS,
-        cycle_steady_mask=np.asarray(state["cyc_steady"], dtype=bool),
+        cycle_start_ms=cyc_start / _MS,
+        cycle_times=cyc_len / _MS,
+        cycle_steady_mask=cyc_steady,
         occupancy_ms=occ_ns / _MS,
         occupancy_depth=occ_depth,
         first_full_ms=int(occ_ns[full[0]]) / _MS if len(full) else None,
@@ -460,7 +436,7 @@ def run(cfg: SimConfig) -> SimResult:
         e2e_delays=e2e,
         camera_delays=cam_delay,
         objects_missed=missed,
-        drops=state["drops"],
+        drops=n_frames - n_fetched,
         frames_captured=n_frames,
         per_stage_busy=per_stage_busy,
         warnings=warnings,

@@ -1,17 +1,24 @@
 """Scenario file parsing and the command-line interface."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pipedelay
+import pipedelay.scenario
 
 from pipedelay import cli
 from pipedelay.analysis import analyze
 from pipedelay.detector import ContentionFree, OnDemand, Vanilla, ZeroSlack
 from pipedelay.queueing import QueueRegime
+from pipedelay.presets import SCENARIO_PRESETS
 from pipedelay.scenario import (
     Scenario,
     ScenarioError,
@@ -59,6 +66,13 @@ objects = 2
 """
 
 
+def _grammar_example() -> str:
+    """The example scenario file of the `pipedelay.scenario` docstring."""
+    doc = pipedelay.scenario.__doc__
+    example = doc[doc.index("    [scenario]"):doc.index("Stage sections")]
+    return "\n".join(line[4:] for line in example.splitlines())
+
+
 class TestParsing:
     def test_inline_scenario(self):
         s = parse_scenario(MICRO_INLINE)
@@ -75,11 +89,7 @@ class TestParsing:
         assert s.profile_preset is None
 
     def test_grammar_example_parses(self):
-        import pipedelay.scenario
-
-        doc = pipedelay.scenario.__doc__
-        example = doc[doc.index("    [scenario]"):doc.index("Stage sections")]
-        s = parse_scenario("\n".join(line[4:] for line in example.splitlines()))
+        s = parse_scenario(_grammar_example())
         assert s.name == "demo"
         assert s.camera.frame_rate == 30.0
         assert s.queue_size == 4
@@ -353,6 +363,21 @@ class TestCliValidate:
         assert "result: FAIL" in out and "FAIL" in out
 
 
+class TestCliSimulatorWarnings:
+    # A release delay past the end of the run: no frame is ever fetched.
+    IDLE = FAST_SCENARIO.replace(
+        "variants = vanilla", "variants = zero_slack\n\n[zero_slack]\ntheta = 5000"
+    ).replace("duration_ms = 4000", "duration_ms = 300")
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_warning_is_a_note(self, command, tmp_path, capsys):
+        path = tmp_path / "idle.ini"
+        path.write_text(self.IDLE)
+        assert run_cli([command, str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "note: zero_slack: no frame was ever retrieved; run too short" in out
+
+
 class TestCliSweep:
     def test_queue_size_sweep_is_monotone(self, scenario_file, capsys):
         assert run_cli(["sweep", scenario_file, "--param", "queue_size",
@@ -438,6 +463,9 @@ class TestCliBadValues:
         (["validate", "default", "--shrink-bounds", "-50"], "--shrink-bounds"),
         (["validate", "default", "--shrink-bounds", "nan"], "--shrink-bounds"),
         (["validate", "default", "--shrink-bounds", "inf"], "--shrink-bounds"),
+        (["sweep", "default", "--param", "queue_size", "--values", "5..1"], "--values"),
+        (["sweep", "default", "--param", "queue_size", "--values", ","], "--values"),
+        (["sweep", "default", "--param", "nn_resolution", "--values", "608.9"], "--values"),
     ])
     def test_exits_2_naming_the_culprit(self, argv, culprit, tmp_path):
         for name, (old, new) in _BAD_SCENARIOS.items():
@@ -450,3 +478,70 @@ class TestCliBadValues:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert culprit in proc.stderr
+
+
+# -- fuzzing --------------------------------------------------------------------
+
+_TOKENS = ("nan", "-1", "", "1e9", "0..", "0", "2", "inf", "0..2", "1,2", "x")
+
+
+def _scenario_files(tmp: str, data) -> list[str]:
+    """Scenario file arguments: a preset and the grammar example, both cut
+    to at most 5 s, the example with one value replaced by a token (any
+    token but 1e9 ms for the duration), and a path that does not exist."""
+    duration = f"duration_ms = {data.draw(st.sampled_from([100, 1000, 5000]))}"
+    preset = data.draw(st.sampled_from(sorted(SCENARIO_PRESETS)))
+    example = _grammar_example().replace("duration_ms = 120000", duration)
+    lines = example.splitlines()
+    keyed = [i for i, line in enumerate(lines) if " = " in line and not line.startswith(";")]
+    i = data.draw(st.sampled_from(keyed))
+    key = lines[i].split(" = ")[0]
+    tokens = [t for t in _TOKENS if not (key == "duration_ms" and t == "1e9")]
+    lines[i] = f"{key} = {data.draw(st.sampled_from(tokens))}"
+    texts = {
+        "preset.ini": SCENARIO_PRESETS[preset].replace("duration_ms = 120000", duration),
+        "example.ini": example,
+        "edited.ini": "\n".join(lines) + "\n",
+    }
+    for name, text in texts.items():
+        with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return [os.path.join(tmp, name) for name in texts] + [os.path.join(tmp, "missing.ini")]
+
+
+class TestCliFuzz:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_exit_code_is_0_1_or_2(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            command = data.draw(st.sampled_from(["analyze", "simulate", "validate", "sweep"]))
+            scenarios = _scenario_files(tmp, data)
+            if command == "analyze":   # the only command fast on a 120 s preset
+                scenarios += sorted(SCENARIO_PRESETS)
+            argv = [command, data.draw(st.sampled_from(scenarios))]
+            token = st.sampled_from(_TOKENS)
+            flags = {
+                "--seed": token | st.just("7"),
+                "--out": st.sampled_from([os.path.join(tmp, "out"), ""]),
+                "--format": st.sampled_from(["table", "csv", "xml"]),
+            }
+            if command == "simulate":
+                flags["--trace"] = st.none()
+            if command == "validate":
+                flags["--shrink-bounds"] = token
+            if command == "sweep":
+                argv += ["--param", data.draw(st.sampled_from(
+                    ["queue_size", "theta", "frame_rate", "nn_resolution"]))]
+                argv += ["--values", data.draw(token | st.just("416,608"))]
+            for flag, values in flags.items():
+                if data.draw(st.booleans()):
+                    value = data.draw(values)
+                    argv += [flag] if value is None else [flag, value]
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+            except SystemExit as exc:   # argparse usage errors
+                assert exc.code == 2, argv
+            else:
+                assert code in (0, 1, 2), argv

@@ -27,6 +27,7 @@ from pipedelay.detector import (
 from pipedelay.dist import DelayDist, ZERO_DELAY
 from pipedelay.scenario import load_scenario
 from pipedelay.sim import SimConfig, SimResult, run
+from test_acceptance import _random_scenario
 
 MICRO_CAM = CameraConfig(frame_rate=100.0, width=700, height=1, bits_per_pixel=16)
 MICRO_USB = UsbLinkConfig(bytes_per_microframe=100, urb_microframes=8)
@@ -40,6 +41,29 @@ MICRO_PROFILE = StageProfile(
 
 VGA30 = CameraConfig(frame_rate=30.0, width=640, height=480, bits_per_pixel=16)
 USB_VGA30 = UsbLinkConfig(bytes_per_microframe=2688, urb_microframes=32)
+
+# 10 ms captures against a 4 ms buffering period: with 3.9 ms of capture
+# jitter two frames can start their transfer in one buffering period and so
+# share a queuing decision instant (and, when their transfers also end in
+# one period, a delivery instant).
+SHARED_CAM = CameraConfig(frame_rate=100.0, width=160, height=120, bits_per_pixel=16)
+SHARED_USB = UsbLinkConfig(bytes_per_microframe=3072, urb_microframes=32)
+SHARED_PROFILE = StageProfile(
+    fetch_exec=DelayDist.constant(2.0),
+    infer_cpu=DelayDist.from_points([(3.0, 0.5), (14.0, 0.5)]),
+    infer_gpu=ZERO_DELAY,
+    disp_exec=DelayDist.constant(1.0),
+    infer_inflation=DelayDist.constant(1.0),
+)
+# Zero-length stages: a cycle whose head is already queued lasts 0 ns, so
+# several retrievals can fall on one instant.
+ZERO_PROFILE = StageProfile(
+    fetch_exec=ZERO_DELAY,
+    infer_cpu=ZERO_DELAY,
+    infer_gpu=ZERO_DELAY,
+    disp_exec=ZERO_DELAY,
+    infer_inflation=ZERO_DELAY,
+)
 
 
 def micro_config(**overrides):
@@ -73,6 +97,21 @@ def heavy_config(**overrides):
         duration_ms=20000.0,
         seed=11,
         n_objects=100,
+    )
+    kw.update(overrides)
+    return SimConfig(**kw)
+
+
+def shared_config(**overrides):
+    kw = dict(
+        camera=SHARED_CAM,
+        usb=SHARED_USB,
+        profile=SHARED_PROFILE,
+        variant=Vanilla(1),
+        duration_ms=20000.0,
+        seed=5,
+        n_objects=100,
+        capture_jitter_ms=3.9,
     )
     kw.update(overrides)
     return SimConfig(**kw)
@@ -356,11 +395,19 @@ def _preset_config(name):
 
 
 _DIGEST_CONFIGS = {
-    "micro": (micro_config, 2.5),
-    "heavy": (heavy_config, 30.0),
-    "case1": (_preset_config("case1"), 10.0),
-    "case2": (_preset_config("case2"), 30.0),
-    "case3": (_preset_config("case3"), 15.0),
+    # name: (config builder, zero-slack theta, capture jitters in ms)
+    "micro": (micro_config, 2.5, (0.0, 3.0)),
+    "heavy": (heavy_config, 30.0, (0.0, 3.0)),
+    "case1": (_preset_config("case1"), 10.0, (0.0, 3.0)),
+    "case2": (_preset_config("case2"), 30.0, (0.0, 3.0)),
+    "case3": (_preset_config("case3"), 15.0, (0.0, 3.0)),
+    "shared": (shared_config, 0.0, (3.9,)),
+    "zero": (lambda **kw: shared_config(profile=ZERO_PROFILE, **kw), 0.0, (3.9,)),
+    # A release delay past the end of the run: no frame is ever fetched.
+    "idle": (lambda **kw: micro_config(duration_ms=300.0, **kw), 5000.0, (0.0,)),
+    # A run of one captured frame, which is fetched.
+    "single": (lambda **kw: micro_config(duration_ms=10.0, object_times_ms=(0.0,), **kw),
+               2.5, (0.0,)),
 }
 _DIGEST_VARIANTS = {
     "vanilla4": lambda theta: Vanilla(4),
@@ -371,7 +418,7 @@ _DIGEST_VARIANTS = {
     "contention_free": lambda theta: ContentionFree(),
 }
 
-# Digests of the four runs (trace off/on x capture jitter 0/3 ms) of each
+# Digests of the runs (trace off/on x the config's capture jitters) of each
 # config and variant. They pin every SimResult field and trace event bit for
 # bit, so a simulator refactor that is meant to keep results must keep them;
 # a change that moves results on purpose records new ones and says why.
@@ -496,6 +543,21 @@ RECORDED_DIGESTS = {
         "0e7ef0593871e9a9", "3042f0df48174606",
         "4cfefd0a2a441a5f", "96e6bd0f6e0eae8b",
     ],
+    # Edge cases of the bookkeeping derived after the cycle loop: shared
+    # decision and retrieval instants, no fetch, a single fetch. Recorded at
+    # commit 48cd535; each is the untraced and the traced run.
+    "shared/vanilla1": ["a33f3b4a9ea0b9de", "bfc0dc10e5f918b7"],
+    "shared/vanilla4": ["e8fc4471b75826ff", "ea765951797d529d"],
+    "shared/vanilla0": ["d55e2337ce88ac0d", "d6bb0a44e61c60fd"],
+    "shared/on_demand": ["8aebcee1e7b450a6", "e617224833d9f392"],
+    "zero/vanilla4": ["63f12da9d6369301", "7699c8d436a39159"],
+    "zero/vanilla1": ["9d2ffa56b109df75", "0da2ffc96ef75e50"],
+    "zero/on_demand": ["10d54f7d6997bcb7", "474e80bb63cd91a1"],
+    "zero/contention_free": ["c6e01dbab06e70db", "5d8121949d49599a"],
+    "idle/zero_slack": ["0a9bd3dd1dfb7a6f", "395456f1e8be3577"],
+    "single/vanilla1": ["994b785f7c855f64", "2848eeb8cc7e8c5d"],
+    "single/on_demand": ["67a0c3b0f45a1149", "aad089fe0677a67c"],
+    "single/contention_free": ["f470be9fb3d727b6", "87ca8d01a131ec79"],
 }
 
 
@@ -503,11 +565,72 @@ class TestBitIdentity:
     @pytest.mark.parametrize("key", sorted(RECORDED_DIGESTS))
     def test_results_match_recorded_digests(self, key):
         cfg_name, var_name = key.split("/")
-        build, theta = _DIGEST_CONFIGS[cfg_name]
+        build, theta, jitters = _DIGEST_CONFIGS[cfg_name]
         variant = _DIGEST_VARIANTS[var_name](theta)
         parts = [
             result_digest(run(build(variant=variant, trace=trace,
                                     capture_jitter_ms=jitter)))
-            for trace in (False, True) for jitter in (0.0, 3.0)
+            for trace in (False, True) for jitter in jitters
         ]
         assert parts == RECORDED_DIGESTS[key]
+
+
+# -- bookkeeping against the event trace -----------------------------------------
+
+
+def _gate_runs(n_scenarios=6):
+    """Traced runs of gate scenarios, with capture jitter, under the drawn
+    variant and the queue sizes and shapes the gate draws less often."""
+    rng = np.random.default_rng(2024)
+    for i in range(n_scenarios):
+        cam, usb, profile, variant = _random_scenario(rng, i)
+        for v in (variant, Vanilla(1), Vanilla(3), Vanilla(0), OnDemand(), ContentionFree()):
+            yield v, run(SimConfig(
+                camera=cam, usb=usb, profile=profile, variant=v,
+                duration_ms=400 * cam.cycle_ms, seed=i, n_objects=50,
+                capture_jitter_ms=0.2 * cam.cycle_ms, trace=True))
+
+
+class TestBookkeepingMatchesTrace:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return list(_gate_runs())
+
+    def test_queue_replay(self, runs):
+        """Replaying accepts and retrievals in trace order gives back the
+        occupancy points, the admission depths and the first full instant."""
+        queued = [(v.queue_size, r) for v, r in runs if v.queue_size]
+        assert len(queued) >= 12
+        for q, r in queued:
+            depth = 0
+            times, depths, ahead = [], [], []
+            for t, kind, _, detail in r.trace:
+                if kind == "accept":
+                    ahead.append(depth)
+                    depth += 1
+                elif kind == "retrieve":
+                    depth -= 1
+                else:
+                    continue
+                assert detail == depth
+                times.append(t)
+                depths.append(depth)
+            full = [t for t, d in zip(times, depths) if d == q]
+            assert np.array_equal(np.asarray(times, dtype=np.int64) / 1_000_000, r.occupancy_ms)
+            assert np.array_equal(np.asarray(depths, dtype=np.int64), r.occupancy_depth)
+            assert np.array_equal(np.asarray(ahead, dtype=np.int64), r.admit_ahead)
+            assert r.first_full_ms == (full[0] / 1_000_000 if full else None)
+
+    def test_every_frame_fetched_or_dropped_once(self, runs):
+        for v, r in runs:
+            assert r.drops == r.frames_captured - r.frames_fetched
+            # Each frame meets one admission outcome; a queueless fetch takes
+            # the frame straight to retrieval.
+            outcomes = ("accept", "drop") if v.queue_size else ("retrieve", "skip")
+            frames = sorted(ev[2] for ev in r.trace if ev[1] in outcomes)
+            assert frames == list(range(r.frames_captured))
+            retrieved = [ev for ev in r.trace if ev[1] == "retrieve"]
+            assert [ev[2] for ev in retrieved] == r.fetched_frames.tolist()
+            assert np.array_equal(
+                np.asarray([ev[0] for ev in retrieved], dtype=np.int64) / 1_000_000,
+                r.dequeue_ms)
