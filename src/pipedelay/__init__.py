@@ -43,11 +43,9 @@ from .dist import (
     ZERO_DELAY,
     DelayDist,
     DistSummary,
-    convolve,
     convolve_all,
     load_samples_csv,
     max_combine,
-    shift,
     summarize,
 )
 from .queueing import QueueDelayBounds, QueueRegime, classify, queue_delay_bounds
@@ -86,7 +84,6 @@ __all__ = [
     "classify",
     "compare_variants",
     "compute_theta_fetch",
-    "convolve",
     "convolve_all",
     "detector_delay_bounds",
     "frame_size",
@@ -97,7 +94,6 @@ __all__ = [
     "queue_delay_bounds",
     "run",
     "service_distribution",
-    "shift",
     "summarize",
     "total_microframes",
     "transfer_delay_bounds",

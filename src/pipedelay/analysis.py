@@ -42,7 +42,7 @@ from .detector import (
 )
 from .dist import DelayDist
 from .queueing import QueueDelayBounds, QueueRegime, classify, queue_delay_bounds
-from .sim import SimResult
+from .sim import SimConfig, SimResult, run
 
 
 @dataclass(frozen=True)
@@ -348,8 +348,6 @@ def compare_variants(
     n_objects: int = 500,
 ) -> list[VariantOutcome]:
     """Analyze and simulate each variant under identical conditions."""
-    from .sim import SimConfig, run
-
     out = []
     for v in variants:
         b = analyze(cam, usb, profile, v)

@@ -155,9 +155,6 @@ class DelayDist:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.values[np.searchsorted(self._cum, rng.random(), side="right")])
-
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         idx = np.searchsorted(self._cum, rng.random(n), side="right")
         np.clip(idx, 0, len(self.values) - 1, out=idx)
@@ -171,10 +168,6 @@ class DelayDist:
 
 
 ZERO_DELAY = DelayDist(np.array([0.0]), np.array([1.0]))
-
-
-def convolve(a: DelayDist, b: DelayDist) -> DelayDist:
-    return a.convolve(b)
 
 
 def convolve_all(dists) -> DelayDist:
@@ -207,10 +200,6 @@ def max_combine(dists) -> DelayDist:
     pmf = np.diff(np.concatenate(([0.0], cdf)))
     keep = pmf > 0
     return DelayDist(support[keep], pmf[keep])
-
-
-def shift(d: DelayDist, offset_ms: float) -> DelayDist:
-    return d.shift(offset_ms)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,7 @@ their own; a `;` after a value would become part of the value.
     variants = vanilla, on_demand, zero_slack, contention_free
 
     [camera]
-    ; a preset, or any of the explicit fields below, which override the
-    ; preset values
+    ; a preset, or any CameraConfig field, which overrides the preset value
     preset = c930e-640x480-30
     frame_rate = 30
     width = 640
@@ -18,7 +17,7 @@ their own; a `;` after a value would become part of the value.
     bits_per_pixel = 16
     min_capture_delay = 0
 
-    ; optional, overrides the camera preset
+    ; optional: UsbLinkConfig fields, which override the camera preset
     [usb]
     bytes_per_microframe = 2688
     urb_microframes = 32
@@ -37,8 +36,7 @@ their own; a `;` after a value would become part of the value.
     ; or per-stage sections
     preset = xavier-yolov3-608
 
-    ; stages: fetch_exec, infer_cpu, infer_gpu, disp_exec, disp_block,
-    ; fetch_inflation, infer_inflation, disp_inflation
+    ; one optional section per StageProfile field
     [profile.fetch_exec]
     dist = 5:0.25, 6:0.5, 7:0.25
     ; alternatives: const = 5
@@ -52,22 +50,27 @@ their own; a `;` after a value would become part of the value.
     capture_jitter_ms = 0
 
 Stage sections may override individual stages of a profile preset.
+The `[camera]` and `[usb]` keys are the fields of `CameraConfig` and
+`UsbLinkConfig`, with their types and defaults, and the stages are the
+fields of `StageProfile`.
+`[queue] size` and `[zero_slack] theta` configure those variants only:
+`Scenario.queue_size` and `Scenario.theta` read them back off the
+variants, and are None when the scenario has no such variant.
 Parse problems raise ScenarioError naming the offending section and key.
 """
 
 import configparser
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import get_args
 
 from .camera import CameraConfig, UsbLinkConfig
 from .detector import (
-    ContentionFree,
     OnDemand,
     PipelineVariant,
     StageProfile,
     Vanilla,
-    ZeroSlack,
     blocking_bounds,
     compute_theta_fetch,
     detector_delay_bounds,
@@ -76,25 +79,20 @@ from .dist import DelayDist, load_samples_csv
 from .presets import CAMERA_PRESETS, PROFILE_PRESETS, SCENARIO_PRESETS
 from .sim import SimConfig
 
-_STAGES = (
-    "fetch_exec",
-    "infer_cpu",
-    "infer_gpu",
-    "disp_exec",
-    "disp_block",
-    "fetch_inflation",
-    "infer_inflation",
-    "disp_inflation",
-)
-_REQUIRED_STAGES = ("fetch_exec", "infer_cpu", "infer_gpu", "disp_exec")
-_VARIANT_NAMES = ("vanilla", "on_demand", "zero_slack", "contention_free")
+
+def _names(cls, required: bool = False) -> tuple[str, ...]:
+    """A dataclass's field names in order, or only those without a default."""
+    return tuple(f.name for f in fields(cls) if not required or
+                 f.default is MISSING and f.default_factory is MISSING)
+
+
+_STAGES = _names(StageProfile)
+_VARIANTS = {v.name: v for v in get_args(PipelineVariant)}
 
 _ALLOWED_KEYS = {
     "scenario": {"name", "variants"},
-    "camera": {"preset", "frame_rate", "width", "height", "bits_per_pixel",
-               "min_capture_delay"},
-    "usb": {"bytes_per_microframe", "urb_microframes", "microframe_ms",
-            "protocol_overhead_microframes"},
+    "camera": {"preset", *_names(CameraConfig)},
+    "usb": set(_names(UsbLinkConfig)),
     "queue": {"size"},
     "zero_slack": {"theta"},
     "profile": {"preset"},
@@ -115,13 +113,24 @@ class Scenario:
     usb: UsbLinkConfig
     profile: StageProfile
     variants: tuple[PipelineVariant, ...]
-    queue_size: int
-    theta: float | None          # resolved zero-slack offset, if requested
     duration_ms: float
     seed: int
     n_objects: int
     capture_jitter_ms: float
     profile_preset: str | None   # set when the profile came from a preset
+
+    def _variant_attr(self, name: str, attr: str):
+        return next((getattr(v, attr) for v in self.variants if v.name == name), None)
+
+    @property
+    def queue_size(self) -> int | None:
+        """Q of the vanilla variant, None without one."""
+        return self._variant_attr("vanilla", "queue_size")
+
+    @property
+    def theta(self) -> float | None:
+        """The resolved release delay of the zero_slack variant, None without one."""
+        return self._variant_attr("zero_slack", "theta")
 
     def sim_config(self, variant: PipelineVariant, seed: int | None = None,
                    trace: bool = False) -> SimConfig:
@@ -236,59 +245,36 @@ def parse_scenario(text: str, name: str = "scenario",
     def section(name_: str) -> _Section:
         return sections.get(name_, _Section(name_, {}))
 
-    # Camera and link.
-    cam_sec = section("camera")
-    fields: dict = {}
-    preset_name = cam_sec.items.get("preset")
+    # Camera and link: the fields of their config dataclasses, set by the
+    # camera preset and overridden by the section keys. Both sections are
+    # read before either is checked for missing fields, and both are checked
+    # before either is built, so the first of several faults is reported.
+    preset_name = section("camera").items.get("preset")
+    preset: dict = {}
     if preset_name is not None:
         if preset_name not in CAMERA_PRESETS:
             raise ScenarioError(
                 f"[camera] preset: unknown preset {preset_name!r} "
                 f"(available: {', '.join(sorted(CAMERA_PRESETS))})")
-        fields.update(CAMERA_PRESETS[preset_name])
-    cam_fields = {
-        "frame_rate": float, "width": int, "height": int,
-        "bits_per_pixel": int, "min_capture_delay": float,
-    }
-    usb_fields = {
-        "bytes_per_microframe": int, "urb_microframes": int,
-        "microframe_ms": float, "protocol_overhead_microframes": int,
-    }
-    for key, conv in cam_fields.items():
-        val = cam_sec.get(key, conv, fields.get(key))
-        if val is not None:
-            fields[key] = val
-    usb_sec = section("usb")
-    for key, conv in usb_fields.items():
-        val = usb_sec.get(key, conv, fields.get(key))
-        if val is not None:
-            fields[key] = val
-    missing = [k for k in ("frame_rate", "width", "height", "bits_per_pixel")
-               if k not in fields]
-    if missing:
-        raise ScenarioError(
-            f"[camera]: missing {', '.join(missing)} (set a preset or the fields)")
-    missing = [k for k in ("bytes_per_microframe", "urb_microframes")
-               if k not in fields]
-    if missing:
-        raise ScenarioError(
-            f"[usb]: missing {', '.join(missing)} (set a camera preset or the fields)")
-    try:
-        camera = CameraConfig(
-            frame_rate=fields["frame_rate"], width=fields["width"],
-            height=fields["height"], bits_per_pixel=fields["bits_per_pixel"],
-            min_capture_delay=fields.get("min_capture_delay", 0.0))
-    except ValueError as exc:
-        raise ScenarioError(f"[camera]: {exc}") from None
-    try:
-        usb = UsbLinkConfig(
-            bytes_per_microframe=fields["bytes_per_microframe"],
-            urb_microframes=fields["urb_microframes"],
-            microframe_ms=fields.get("microframe_ms", 0.125),
-            protocol_overhead_microframes=fields.get(
-                "protocol_overhead_microframes", 2))
-    except ValueError as exc:
-        raise ScenarioError(f"[usb]: {exc}") from None
+        preset = CAMERA_PRESETS[preset_name]
+    configs = ((CameraConfig, "camera", "a preset"), (UsbLinkConfig, "usb", "a camera preset"))
+    values = []
+    for cls, sec_name, _ in configs:
+        sec = section(sec_name)
+        got = {f.name: sec.get(f.name, f.type, preset.get(f.name)) for f in fields(cls)}
+        values.append({k: v for k, v in got.items() if v is not None})
+    for (cls, sec_name, hint), given in zip(configs, values):
+        missing = [k for k in _names(cls, required=True) if k not in given]
+        if missing:
+            raise ScenarioError(
+                f"[{sec_name}]: missing {', '.join(missing)} (set {hint} or the fields)")
+    built = []
+    for (cls, sec_name, _), given in zip(configs, values):
+        try:
+            built.append(cls(**given))
+        except ValueError as exc:
+            raise ScenarioError(f"[{sec_name}]: {exc}") from None
+    camera, usb = built
 
     # Stage profile.
     prof_sec = section("profile")
@@ -305,7 +291,7 @@ def parse_scenario(text: str, name: str = "scenario",
         sec = sections.get(f"profile.{stage}")
         if sec is not None:
             stages[stage] = _build_stage(sec, base_dir)
-    missing = [s for s in _REQUIRED_STAGES if s not in stages]
+    missing = [s for s in _names(StageProfile, required=True) if s not in stages]
     if missing:
         raise ScenarioError(
             f"[profile]: missing stages {', '.join(missing)} "
@@ -313,7 +299,7 @@ def parse_scenario(text: str, name: str = "scenario",
     profile = StageProfile(**stages)
 
     # Variants.
-    queue_size = section("queue").get("size", int, 4)
+    queue_size = section("queue").get("size", int, Vanilla.queue_size)
     if queue_size < 0:
         raise ScenarioError("[queue] size: must be >= 0")
     scen_sec = section("scenario")
@@ -332,20 +318,14 @@ def parse_scenario(text: str, name: str = "scenario",
             theta = section("zero_slack").get("theta", float, None)
             if theta < 0:
                 raise ScenarioError("[zero_slack] theta: must be >= 0")
-    variants: list[PipelineVariant] = []
+    args = {"vanilla": (queue_size,), "zero_slack": (theta,)}
+    variants = []
     for vname in raw_variants:
-        if vname == "vanilla":
-            variants.append(Vanilla(queue_size))
-        elif vname == "on_demand":
-            variants.append(OnDemand())
-        elif vname == "zero_slack":
-            variants.append(ZeroSlack(theta))
-        elif vname == "contention_free":
-            variants.append(ContentionFree())
-        else:
+        if vname not in _VARIANTS:
             raise ScenarioError(
                 f"[scenario] variants: unknown variant {vname!r} "
-                f"(expected one of {', '.join(_VARIANT_NAMES)})")
+                f"(expected one of {', '.join(_VARIANTS)})")
+        variants.append(_VARIANTS[vname](*args.get(vname, ())))
 
     sim_sec = section("sim")
     duration_ms = sim_sec.get("duration_ms", float, 30000.0)
@@ -365,8 +345,6 @@ def parse_scenario(text: str, name: str = "scenario",
         usb=usb,
         profile=profile,
         variants=tuple(variants),
-        queue_size=queue_size,
-        theta=theta,
         duration_ms=duration_ms,
         seed=seed,
         n_objects=n_objects,

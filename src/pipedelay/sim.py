@@ -54,6 +54,9 @@ from .dist import DelayDist
 _MS = 1_000_000  # ns per ms
 _CHUNK = 4096
 _NEVER = 1 << 62  # ns, later than any event of a run
+# Objects are injected uniformly over this leading fraction of the run so
+# the pipeline can drain everything they touch.
+_OBJECT_WINDOW_FRAC = 0.8
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,6 @@ class SimConfig:
     seed: int
     n_objects: int = 200
     object_times_ms: tuple[float, ...] | None = None
-    # Objects are injected uniformly over this leading fraction of the run
-    # so the pipeline can drain everything they touch.
-    object_window_frac: float = 0.8
     capture_jitter_ms: float = 0.0
     trace: bool = False
 
@@ -77,8 +77,6 @@ class SimConfig:
             raise ValueError("duration_ms must be positive")
         if self.n_objects < 0:
             raise ValueError("n_objects must be >= 0")
-        if not (0.0 < self.object_window_frac <= 1.0):
-            raise ValueError("object_window_frac must be in (0, 1]")
         if self.capture_jitter_ms < 0:
             raise ValueError("capture_jitter_ms must be >= 0")
         if self.capture_jitter_ms > 0.4 * self.camera.cycle_ms:
@@ -158,16 +156,12 @@ class SimResult:
 
 def _stream(dist: DelayDist, rng: np.random.Generator):
     """Endless ns-valued draws from one DelayDist, drawn `_CHUNK` at a time."""
-    vals = np.rint(dist.values * _MS).astype(np.int64)
-    if len(vals) == 1:
-        return repeat(int(vals[0]))
-    cum = np.cumsum(dist.probs)
+    if len(dist) == 1:
+        return repeat(int(np.rint(dist.min * _MS)))
 
     def chunks():
         while True:
-            idx = np.searchsorted(cum, rng.random(_CHUNK), side="right")
-            np.clip(idx, 0, len(vals) - 1, out=idx)
-            yield vals[idx].tolist()
+            yield np.rint(dist.sample_array(rng, _CHUNK) * _MS).astype(np.int64).tolist()
 
     return chain.from_iterable(chunks())
 
@@ -391,7 +385,7 @@ def run(cfg: SimConfig) -> SimResult:
             raise ValueError("object times must lie within the run duration")
     else:
         rng_obj = np.random.default_rng(ss_obj)
-        window = cfg.duration_ms * cfg.object_window_frac * _MS
+        window = cfg.duration_ms * _OBJECT_WINDOW_FRAC * _MS
         obj_ns = np.sort(rng_obj.integers(0, max(1, int(window)), cfg.n_objects))
     floor_ns = int(round(cfg.camera.min_capture_delay * _MS))
     pos = np.searchsorted(capture[fetched], obj_ns + floor_ns, side="left")

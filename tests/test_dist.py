@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from pipedelay.dist import (
     DelayDist,
     ZERO_DELAY,
-    convolve,
     convolve_all,
     load_samples_csv,
     max_combine,
-    shift,
     summarize,
 )
 
@@ -76,18 +74,18 @@ class TestConstruction:
 class TestConvolve:
     def test_deterministic_sum(self):
         assert_dist_equal(
-            convolve(DelayDist.constant(1), DelayDist.constant(2)), [(3, 1.0)]
+            DelayDist.constant(1).convolve(DelayDist.constant(2)), [(3, 1.0)]
         )
 
     def test_two_coins(self):
         coin = DelayDist.from_points([(0, 0.5), (1, 0.5)])
         assert_dist_equal(
-            convolve(coin, coin), [(0, 0.25), (1, 0.5), (2, 0.25)]
+            coin.convolve(coin), [(0, 0.25), (1, 0.5), (2, 0.25)]
         )
 
     def test_constant_acts_as_shift(self):
         d = DelayDist.from_points([(2, 0.3), (7, 0.7)])
-        assert_dist_equal(convolve(DelayDist.constant(5), d), [(7, 0.3), (12, 0.7)])
+        assert_dist_equal(DelayDist.constant(5).convolve(d), [(7, 0.3), (12, 0.7)])
 
     @given(small_dist, small_dist)
     @settings(max_examples=60, deadline=None)
@@ -95,7 +93,7 @@ class TestConvolve:
         expected = {}
         for (va, pa), (vb, pb) in itertools.product(points_of(a), points_of(b)):
             expected[va + vb] = expected.get(va + vb, 0.0) + pa * pb
-        got = dict(points_of(convolve(a, b)))
+        got = dict(points_of(a.convolve(b)))
         assert set(got) == set(expected)
         for v, p in expected.items():
             assert abs(got[v] - p) <= 1e-9
@@ -103,19 +101,19 @@ class TestConvolve:
     @given(small_dist, small_dist)
     @settings(max_examples=40, deadline=None)
     def test_commutative(self, a, b):
-        assert_dist_equal(convolve(a, b), points_of(convolve(b, a)))
+        assert_dist_equal(a.convolve(b), points_of(b.convolve(a)))
 
     @given(small_dist, small_dist, small_dist)
     @settings(max_examples=40, deadline=None)
     def test_associative(self, a, b, c):
-        left = convolve(convolve(a, b), c)
-        right = convolve(a, convolve(b, c))
+        left = a.convolve(b).convolve(c)
+        right = a.convolve(b.convolve(c))
         assert_dist_equal(left, points_of(right))
 
     @given(small_dist, small_dist)
     @settings(max_examples=40, deadline=None)
     def test_conserves_probability(self, a, b):
-        assert abs(convolve(a, b).probs.sum() - 1.0) <= 1e-9
+        assert abs(a.convolve(b).probs.sum() - 1.0) <= 1e-9
 
     def test_convolve_all_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -169,25 +167,25 @@ class TestMaxCombine:
 
 class TestShift:
     def test_positive(self):
-        assert_dist_equal(shift(DelayDist.constant(10), 5), [(15, 1.0)])
+        assert_dist_equal(DelayDist.constant(10).shift(5), [(15, 1.0)])
 
     def test_identity(self):
         d = DelayDist.from_points([(2, 0.5), (4, 0.5)])
-        assert_dist_equal(shift(d, 0), points_of(d))
+        assert_dist_equal(d.shift(0), points_of(d))
 
     def test_boundary_negative(self):
         d = DelayDist.from_points([(2, 0.5), (4, 0.5)])
-        assert_dist_equal(shift(d, -2), [(0, 0.5), (2, 0.5)])
+        assert_dist_equal(d.shift(-2), [(0, 0.5), (2, 0.5)])
 
     def test_rejects_negative_result(self):
         d = DelayDist.from_points([(2, 0.5), (4, 0.5)])
         with pytest.raises(ValueError):
-            shift(d, -3)
+            d.shift(-3)
 
     @given(small_dist)
     @settings(max_examples=40, deadline=None)
     def test_conserves_probability(self, d):
-        assert abs(shift(d, 3.25).probs.sum() - 1.0) <= 1e-9
+        assert abs(d.shift(3.25).probs.sum() - 1.0) <= 1e-9
 
 
 class TestSummarize:
@@ -217,7 +215,7 @@ class TestSampling:
     def test_constant_sample(self):
         d = DelayDist.constant(5)
         rng = np.random.default_rng(0)
-        assert d.sample(rng) == 5
+        assert d.sample_array(rng, 3).tolist() == [5, 5, 5]
 
     def test_empirical_frequency(self):
         d = DelayDist.from_points([(0, 0.5), (1, 0.5)])

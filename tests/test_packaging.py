@@ -1,4 +1,5 @@
-"""Package metadata: the version has one source, `pipedelay.__version__`."""
+"""Package metadata: the version has one source, `pipedelay.__version__`,
+and every exported name resolves."""
 
 import os
 
@@ -19,3 +20,9 @@ def test_version_is_read_from_the_package():
     attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
     assert attr == "pipedelay.__version__"
     assert pipedelay.__version__
+
+
+def test_all_names_resolve_once():
+    assert len(pipedelay.__all__) == len(set(pipedelay.__all__))
+    for name in pipedelay.__all__:
+        assert hasattr(pipedelay, name), name

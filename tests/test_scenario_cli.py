@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -87,6 +88,24 @@ class TestParsing:
         assert s.seed == 7
         assert s.profile.fetch_exec.points() == [(2.0, 1.0)]
         assert s.profile_preset is None
+        # Keys left out take the config dataclass defaults; keys set win.
+        assert s.camera.min_capture_delay == 0.0
+        assert (s.usb.microframe_ms, s.usb.protocol_overhead_microframes) == (0.125, 2)
+        s = parse_scenario(MICRO_INLINE.replace(
+            "bits_per_pixel = 16\n", "bits_per_pixel = 16\nmin_capture_delay = 1.5\n"
+        ).replace(
+            "urb_microframes = 8\n",
+            "urb_microframes = 8\nmicroframe_ms = 0.25\nprotocol_overhead_microframes = 3\n"))
+        assert s.camera.min_capture_delay == 1.5
+        assert (s.usb.microframe_ms, s.usb.protocol_overhead_microframes) == (0.25, 3)
+
+    def test_queue_size_and_theta_come_from_the_variants(self):
+        s = parse_scenario(_grammar_example())
+        assert (s.queue_size, s.theta) == (4, s.variants[2].theta)
+        assert replace(s, variants=(Vanilla(2),)).queue_size == 2
+        assert replace(s, variants=(ZeroSlack(7.5),)).theta == 7.5
+        s = replace(s, variants=(OnDemand(), ContentionFree()))
+        assert s.queue_size is None and s.theta is None
 
     def test_grammar_example_parses(self):
         s = parse_scenario(_grammar_example())
@@ -376,6 +395,18 @@ class TestCliSimulatorWarnings:
         assert run_cli([command, str(path)]) == 0
         out = capsys.readouterr().out
         assert "note: zero_slack: no frame was ever retrieved; run too short" in out
+
+    def test_checks_on_nothing_do_not_pass(self, tmp_path, capsys):
+        path = tmp_path / "idle.ini"
+        path.write_text(self.IDLE)
+        assert run_cli(["validate", str(path), "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        status = {ln.split(",")[1]: ln.split(",")[-1] for ln in lines[1:] if "," in ln}
+        assert status["transfer"] == "ok"
+        assert status["end_to_end"] == "n/a"
+        assert "result: PASS" not in lines
+        assert lines[-1].startswith("result: INCOMPLETE, not run: zero_slack/camera, ")
+        assert "zero_slack/end_to_end" in lines[-1]
 
 
 class TestCliSweep:
