@@ -165,12 +165,16 @@ class ValidationReport:
         return sum(c.n_violations for c in self.checks)
 
 
-def _check(name, values, lo, hi, atol) -> CheckResult:
+# Slack of every check: the simulator clock counts whole nanoseconds.
+_ATOL = 1e-5
+
+
+def _check(name, values, lo, hi) -> CheckResult:
     values = np.asarray(values, dtype=np.float64)
     if len(values) == 0:
         return CheckResult(name, 0, 0, lo, hi, float("nan"), float("nan"), None)
-    below = values < lo - atol
-    above = values > hi + atol
+    below = values < lo - _ATOL
+    above = values > hi + _ATOL
     bad = below | above
     worst = None
     if bad.any():
@@ -192,15 +196,14 @@ def validate_against_analysis(
     result: SimResult,
     bounds: E2EBounds,
     shrink_ms: float = 0.0,
-    atol: float = 1e-5,
 ) -> ValidationReport:
     """Check every simulated delay against its analytic interval.
 
     `shrink_ms` narrows each interval on both ends before checking; a
     positive value is a self-test knob that must make a healthy model
-    report violations. The default tolerance only absorbs nanosecond
-    quantization of the simulator clock. Both must be finite and >= 0,
-    since a negative or NaN value would widen or void every check.
+    report violations. It must be finite and >= 0, since a negative or
+    NaN value would widen or void every check. Every check allows `_ATOL`,
+    which only absorbs nanosecond quantization of the simulator clock.
 
     Transients are excluded exactly where the analysis assumes them
     away: detector and end-to-end checks use frames with a full pipeline
@@ -209,33 +212,17 @@ def validate_against_analysis(
     a full queue whose slot was freed at a cycle boundary, with enough
     full cycles behind them.
     """
-    if not all(math.isfinite(x) and x >= 0 for x in (shrink_ms, atol)):
-        raise ValueError("shrink_ms and atol must be finite and >= 0")
+    if not (math.isfinite(shrink_ms) and shrink_ms >= 0):
+        raise ValueError("shrink_ms must be finite and >= 0")
     s = shrink_ms
     checks = []
     notes: list[str] = []
 
-    tran = result.delivery_ms - result.capture_ms
-    checks.append(
-        _check(
-            "transfer",
-            tran,
-            bounds.camera.d_tran_min + s,
-            bounds.camera.d_tran_max_exclusive - s,
-            atol,
-        )
-    )
-
-    cam_vals = result.camera_delays[~np.isnan(result.camera_delays)]
-    checks.append(
-        _check(
-            "camera",
-            cam_vals,
-            bounds.camera.d_camera_min + s,
-            bounds.camera.d_camera_max_exclusive - s,
-            atol,
-        )
-    )
+    cam, det = bounds.camera, bounds.detector
+    checks.append(_check("transfer", result.delivery_ms - result.capture_ms,
+                         cam.d_tran_min + s, cam.d_tran_max_exclusive - s))
+    checks.append(_check("camera", result.camera_delays[~np.isnan(result.camera_delays)],
+                         cam.d_camera_min + s, cam.d_camera_max_exclusive - s))
 
     fetched = result.fetched_frames
     n_fetched = len(fetched)
@@ -257,7 +244,7 @@ def validate_against_analysis(
             opener_on_boundary = result.b_fetch_ms[: n_fetched - q] == 0.0
             prompt = (
                 result.decision_ms[fetched[q:]] - result.dequeue_ms[: n_fetched - q]
-                <= bounds.arrivals.max + atol
+                <= bounds.arrivals.max + _ATOL
             )
             saturated[q:] = opener_on_boundary & prompt
         tight = (
@@ -270,52 +257,21 @@ def validate_against_analysis(
 
     q_hi = bounds.queue.d_queue_max
     q_lo = bounds.queue.d_queue_min
-    checks.append(_check("queue.upper", result.queue_delays, 0.0, q_hi - s, atol))
+    checks.append(_check("queue.upper", result.queue_delays, 0.0, q_hi - s))
     if q_lo > 0:
-        checks.append(
-            _check(
-                "queue.lower",
-                result.queue_delays[tight],
-                q_lo + s,
-                float("inf"),
-                atol,
-            )
-        )
-
+        checks.append(_check("queue.lower", result.queue_delays[tight], q_lo + s, float("inf")))
     if bounds.queue.queue_size == 0:
-        checks.append(
-            _check(
-                "fetch_blocking",
-                result.b_fetch_ms,
-                bounds.detector.b_fetch_min + s,
-                bounds.detector.b_fetch_max - s,
-                atol,
-            )
-        )
+        checks.append(_check("fetch_blocking", result.b_fetch_ms,
+                             det.b_fetch_min + s, det.b_fetch_max - s))
 
     steady = result.steady_frame_mask & tight
-    checks.append(
-        _check(
-            "detector",
-            result.detector_delays[steady],
-            bounds.detector.d_detector_min + s,
-            bounds.detector.d_detector_max - s,
-            atol,
-        )
-    )
+    checks.append(_check("detector", result.detector_delays[steady],
+                         det.d_detector_min + s, det.d_detector_max - s))
 
     detected = ~np.isnan(result.e2e_delays)
-    frames = result.object_frame[detected]
-    pos = np.searchsorted(fetched, frames)
-    checks.append(
-        _check(
-            "end_to_end",
-            result.e2e_delays[detected][steady[pos]],
-            bounds.total_min + s,
-            bounds.total_max - s,
-            atol,
-        )
-    )
+    pos = np.searchsorted(fetched, result.object_frame[detected])
+    checks.append(_check("end_to_end", result.e2e_delays[detected][steady[pos]],
+                         bounds.total_min + s, bounds.total_max - s))
 
     return ValidationReport(
         variant_name=result.variant_name,

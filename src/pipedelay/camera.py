@@ -75,8 +75,6 @@ class UsbLinkConfig:
 class CameraDelayBounds:
     """Camera-side delay bounds in ms; *_max_exclusive are open on the right."""
 
-    frame_bytes: int
-    total_microframes: int
     d_tran_min: float
     d_tran_max_exclusive: float
     d_capt_max_exclusive: float
@@ -150,12 +148,9 @@ def capture_delay_max(s_max: float, cam: CameraConfig, usb: UsbLinkConfig) -> fl
 
 def camera_delay_bounds(cam: CameraConfig, usb: UsbLinkConfig, s_max: float) -> CameraDelayBounds:
     """End-to-end camera-side bounds: capture wait plus transfer."""
-    size = frame_size(cam)
-    tran_lo, tran_hi = transfer_delay_bounds(size, usb)
+    tran_lo, tran_hi = transfer_delay_bounds(frame_size(cam), usb)
     capt_hi = capture_delay_max(s_max, cam, usb)
     return CameraDelayBounds(
-        frame_bytes=size,
-        total_microframes=total_microframes(size, usb),
         d_tran_min=tran_lo,
         d_tran_max_exclusive=tran_hi,
         d_capt_max_exclusive=capt_hi,

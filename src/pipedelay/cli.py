@@ -16,14 +16,11 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .analysis import analyze, validate_against_analysis
-from .detector import Vanilla, ZeroSlack
-from .presets import PROFILE_PRESETS
-from .scenario import Scenario, ScenarioError, check_scenario, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario
 from .sim import run
 
 
@@ -189,65 +186,62 @@ def cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
-def _parse_values(text: str, param: str, parser: argparse.ArgumentParser):
-    try:
-        if ".." in text:
+def _parse_values(text: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The `--values` tokens as written; the scenario grammar reads them."""
+    if ".." in text:
+        try:
             lo, hi = text.split("..", 1)
-            values = [float(v) for v in range(int(lo), int(hi) + 1)]
-        else:
-            values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        parser.error(f"--values: expected 'a..b' or comma list, got {text!r}")
+            values = [str(v) for v in range(int(lo), int(hi) + 1)]
+        except ValueError:
+            parser.error(f"--values: expected 'a..b' or comma list, got {text!r}")
+    else:
+        values = [v.strip() for v in text.split(",") if v.strip()]
     if not values:
         parser.error(f"--values: no value in {text!r}")
-    if not all(map(math.isfinite, values)):
-        parser.error(f"--values: expected finite numbers, got {text!r}")
-    if param == "queue_size" and any(v < 0 or v != int(v) for v in values):
-        parser.error(f"--values: queue_size needs integers >= 0, got {text!r}")
-    if param == "nn_resolution" and any(v != int(v) for v in values):
-        parser.error(f"--values: nn_resolution needs integers, got {text!r}")
-    if param == "theta" and any(v < 0 for v in values):
-        parser.error(f"--values: theta needs values >= 0, got {text!r}")
     return values
 
 
-def _sweep_point(scenario: Scenario, param: str, value: float) -> Scenario:
-    if param == "queue_size":
-        return replace(scenario, variants=(Vanilla(int(value)),))
-    if param == "theta":
-        return replace(scenario, variants=(ZeroSlack(value),))
-    if param == "frame_rate":
-        try:
-            point = replace(scenario, camera=replace(scenario.camera, frame_rate=value),
-                            variants=scenario.variants[:1])
-            check_scenario(point)
-        except ValueError as exc:
-            raise ScenarioError(f"--values: frame_rate {value:g}: {exc}") from None
-        return point
-    # nn_resolution: swap the resolution suffix of the profile preset.
-    if scenario.profile_preset is None:
-        raise ScenarioError(
-            "nn_resolution sweep needs a profile preset with a resolution suffix")
-    family = scenario.profile_preset.rsplit("-", 1)[0]
-    name = f"{family}-{int(value)}"
-    if name not in PROFILE_PRESETS:
-        raise ScenarioError(
-            f"no profile preset {name!r} "
-            f"(available: {', '.join(sorted(PROFILE_PRESETS))})")
-    return replace(scenario, profile=PROFILE_PRESETS[name], profile_preset=name,
-                   variants=scenario.variants[:1])
+# A sweep point is the scenario with one key edited and resolved like a
+# file: param -> (section, key, the variant the point runs or None for the
+# scenario's first, where the resolved point keeps the value).
+_SWEEP = {
+    "queue_size": ("queue", "size", "vanilla", lambda s: s.queue_size),
+    "theta": ("zero_slack", "theta", "zero_slack", lambda s: s.theta),
+    "frame_rate": ("camera", "frame_rate", None, lambda s: s.camera.frame_rate),
+    "nn_resolution": ("profile", "preset", None, lambda s: _resolution(s.profile_preset)),
+}
+
+
+def _resolution(preset: str) -> int:
+    suffix = preset.rsplit("-", 1)[1]
+    if not suffix.isdecimal():
+        raise ScenarioError(f"[profile] preset: {preset!r} has no resolution suffix")
+    return int(suffix)
 
 
 def cmd_sweep(args, parser) -> int:
-    scenario = load_scenario(args.scenario)
-    values = sorted(_parse_values(args.values, args.param, parser))
-    points = [_sweep_point(scenario, args.param, value) for value in values]
+    base = load_scenario(args.scenario)
+    section, key, variant, value_of = _SWEEP[args.param]
+    prefix = ""
+    if args.param == "nn_resolution":
+        # The value replaces the resolution suffix of the profile preset.
+        if base.profile_preset is None:
+            raise ScenarioError(
+                "nn_resolution sweep needs a profile preset with a resolution suffix")
+        prefix = base.profile_preset.rsplit("-", 1)[0] + "-"
+    variants = variant or base.variants[0].name
+    points = []
+    for token in _parse_values(args.values, parser):
+        edits = {(section, key): prefix + token, ("scenario", "variants"): variants}
+        try:
+            point = load_scenario(args.scenario, edits)
+            points.append((value_of(point), point))
+        except ScenarioError as exc:
+            raise ScenarioError(f"--values: {args.param} {token}: {exc}") from None
     rows = []
-    for value, point in zip(values, points):
+    for value, point in sorted(points, key=lambda p: p[0]):
         r = run(point.sim_config(point.variants[0], seed=args.seed))
-        mean_e2e = r.e2e_mean_p99()[0]
-        shown = int(value) if args.param in ("queue_size", "nn_resolution") else value
-        rows.append((args.param, shown, mean_e2e, r.mean_cycle_ms()))
+        rows.append((args.param, value, r.e2e_mean_p99()[0], r.mean_cycle_ms()))
     headers = ("param", "value", "mean_e2e_ms", "mean_cycle_ms")
     _emit(headers, rows, args.format)
     if args.out:

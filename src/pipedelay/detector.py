@@ -127,11 +127,8 @@ class DetectorDelayBounds:
 
     s_min: float
     s_max: float
-    d_disp_min: float
-    d_disp_max: float
     b_fetch_min: float
     b_fetch_max: float
-    theta: float
     d_detector_min: float
     d_detector_max: float
     clamped: bool
@@ -209,11 +206,8 @@ def detector_delay_bounds(
     return DetectorDelayBounds(
         s_min=s_min,
         s_max=s_max,
-        d_disp_min=d_min,
-        d_disp_max=d_max,
         b_fetch_min=b_fetch_min,
         b_fetch_max=b_fetch_max,
-        theta=theta,
         d_detector_min=max(0.0, lo),
         d_detector_max=hi,
         clamped=clamped,

@@ -55,13 +55,20 @@ The `[camera]` and `[usb]` keys are the fields of `CameraConfig` and
 fields of `StageProfile`.
 `[queue] size` and `[zero_slack] theta` configure those variants only:
 `Scenario.queue_size` and `Scenario.theta` read them back off the
-variants, and are None when the scenario has no such variant.
+variants, and are None when the scenario has no such variant. The
+`[sim] objects` and `capture_jitter_ms` defaults are those of `SimConfig`.
 Parse problems raise ScenarioError naming the offending section and key.
+
+`edits` sets keys on the parsed file before anything is resolved, as if
+the file said so. A `pipedelay sweep` point is such an edit of the swept
+scenario, so it passes the same checks as a file and `theta = auto` is
+recomputed from the edited camera and profile.
 """
 
 import configparser
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 from typing import get_args
 
@@ -217,13 +224,19 @@ def _build_stage(sec: _Section, base_dir: str) -> DelayDist:
         raise ScenarioError(f"[{sec.name}] csv: {path}: {exc}") from None
 
 
-def parse_scenario(text: str, name: str = "scenario",
-                   base_dir: str = ".") -> Scenario:
+def parse_scenario(text: str, name: str = "scenario", base_dir: str = ".",
+                   edits: Mapping[tuple[str, str], str] | None = None) -> Scenario:
+    """Resolve a scenario file's text; `edits` maps (section, key) to the
+    text that replaces or adds that key before resolution."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text, source=name)
     except configparser.Error as exc:
         raise ScenarioError(str(exc)) from None
+    for (sec, key), value in (edits or {}).items():
+        if not cp.has_section(sec):
+            cp.add_section(sec)
+        cp.set(sec, key, value)
 
     sections: dict[str, _Section] = {}
     for sec in cp.sections():
@@ -334,12 +347,28 @@ def parse_scenario(text: str, name: str = "scenario",
     seed = sim_sec.get("seed", int, 0)
     if seed < 0:
         raise ScenarioError("[sim] seed: must be >= 0")
-    n_objects = sim_sec.get("objects", int, 200)
+    n_objects = sim_sec.get("objects", int, SimConfig.n_objects)
     if n_objects < 0:
         raise ScenarioError("[sim] objects: must be >= 0")
-    jitter = sim_sec.get("capture_jitter_ms", float, 0.0)
+    jitter = sim_sec.get("capture_jitter_ms", float, SimConfig.capture_jitter_ms)
 
-    scenario = Scenario(
+    # Capture timing the camera model and the simulator can run: arrivals
+    # need a capture interval above the USB buffering period, and jittered
+    # captures stay in order only for jitter up to 0.4 capture intervals.
+    cycle_ms = camera.cycle_ms
+    period_ms = usb.urb_period_ms
+    if cycle_ms <= period_ms:
+        raise ScenarioError(
+            f"[camera] frame_rate: capture interval {cycle_ms:g} ms must exceed "
+            f"the USB buffering period {period_ms:g} ms")
+    if jitter < 0:
+        raise ScenarioError("[sim] capture_jitter_ms: must be >= 0")
+    if jitter > 0.4 * cycle_ms:
+        raise ScenarioError(
+            f"[sim] capture_jitter_ms: {jitter:g} ms exceeds 0.4 of the "
+            f"{cycle_ms:g} ms capture interval")
+
+    return Scenario(
         name=scen_sec.items.get("name", name),
         camera=camera,
         usb=usb,
@@ -351,40 +380,21 @@ def parse_scenario(text: str, name: str = "scenario",
         capture_jitter_ms=jitter,
         profile_preset=profile_preset,
     )
-    check_scenario(scenario)
-    return scenario
 
 
-def check_scenario(scenario: Scenario) -> None:
-    """Reject capture timing that the camera model and the simulator
-    cannot run: arrivals need a capture interval above the USB buffering
-    period, and jittered captures stay in order only for jitter up to
-    0.4 capture intervals."""
-    cycle_ms = scenario.camera.cycle_ms
-    period_ms = scenario.usb.urb_period_ms
-    if cycle_ms <= period_ms:
-        raise ScenarioError(
-            f"[camera] frame_rate: capture interval {cycle_ms:g} ms must exceed "
-            f"the USB buffering period {period_ms:g} ms")
-    jitter = scenario.capture_jitter_ms
-    if jitter < 0:
-        raise ScenarioError("[sim] capture_jitter_ms: must be >= 0")
-    if jitter > 0.4 * cycle_ms:
-        raise ScenarioError(
-            f"[sim] capture_jitter_ms: {jitter:g} ms exceeds 0.4 of the "
-            f"{cycle_ms:g} ms capture interval")
-
-
-def load_scenario(path_or_name: str) -> Scenario:
-    """Load a scenario file, or a shipped preset by name."""
+def load_scenario(path_or_name: str,
+                  edits: Mapping[tuple[str, str], str] | None = None) -> Scenario:
+    """Load a scenario file, or a shipped preset by name, with `edits`
+    applied as in `parse_scenario`."""
     if os.path.isfile(path_or_name):
         with open(path_or_name, "r", encoding="utf-8") as fh:
             text = fh.read()
         stem = os.path.splitext(os.path.basename(path_or_name))[0]
-        return parse_scenario(text, name=stem,
+        return parse_scenario(text, name=stem, edits=edits,
                               base_dir=os.path.dirname(os.path.abspath(path_or_name)))
     if path_or_name in SCENARIO_PRESETS:
-        return parse_scenario(SCENARIO_PRESETS[path_or_name], name=path_or_name)
+        return parse_scenario(SCENARIO_PRESETS[path_or_name], name=path_or_name,
+                              edits=edits)
     raise ScenarioError(
         f"no scenario file or preset named {path_or_name!r} "
         f"(presets: {', '.join(sorted(SCENARIO_PRESETS))})")

@@ -107,6 +107,15 @@ class TestParsing:
         s = replace(s, variants=(OnDemand(), ContentionFree()))
         assert s.queue_size is None and s.theta is None
 
+    def test_edits_set_keys_before_resolution(self):
+        s = parse_scenario(MICRO_INLINE, edits={
+            ("queue", "size"): "3", ("scenario", "variants"): "vanilla, zero_slack",
+            ("zero_slack", "theta"): "2.5"})
+        assert s.variants == (Vanilla(3), ZeroSlack(2.5))
+        assert s.camera == parse_scenario(MICRO_INLINE).camera
+        with pytest.raises(ScenarioError, match=r"^\[queue\] size: invalid integer '0.5'$"):
+            parse_scenario(MICRO_INLINE, edits={("queue", "size"): "0.5"})
+
     def test_grammar_example_parses(self):
         s = parse_scenario(_grammar_example())
         assert s.name == "demo"
@@ -432,6 +441,34 @@ class TestCliSweep:
         assert "profile preset" in capsys.readouterr().err
 
 
+class TestCliSweepPoints:
+    # A sweep point is the file with the swept key edited: theta = auto
+    # follows the swept camera or profile, and stage sections stay.
+    BASE = FAST_SCENARIO.replace("variants = vanilla",
+                                 "variants = zero_slack, vanilla\n\n[zero_slack]\ntheta = auto")
+    STAGE = "\n[profile.disp_exec]\nconst = 30\n"
+
+    @pytest.mark.parametrize("param, value, old, new, extra", [
+        ("nn_resolution", "416", "xavier-yolov3-608", "xavier-yolov3-416", ""),
+        ("frame_rate", "20", "preset = c930e-640x480-30",
+         "preset = c930e-640x480-30\nframe_rate = 20", ""),
+        ("nn_resolution", "416", "xavier-yolov3-608", "xavier-yolov3-416", STAGE),
+    ], ids=["nn_resolution", "frame_rate", "nn_resolution_keeps_stage_sections"])
+    def test_sweep_row_is_the_edited_file(self, param, value, old, new, extra,
+                                          tmp_path, capsys):
+        base = self.BASE + extra
+        edited = base.replace(old, new).replace("zero_slack, vanilla", "zero_slack")
+        (tmp_path / "base.ini").write_text(base)
+        (tmp_path / "edited.ini").write_text(edited)
+        assert run_cli(["sweep", str(tmp_path / "base.ini"), "--param", param,
+                        "--values", value, "--format", "csv"]) == 0
+        swept = capsys.readouterr().out.splitlines()[1].split(",")
+        assert run_cli(["simulate", str(tmp_path / "edited.ini"), "--format", "csv"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == "zero_slack"
+        assert swept[2:] == [row[6], row[8]]   # mean_e2e_ms, mean_cycle_ms
+
+
 class TestCliUsageErrors:
     def test_no_command_exits_2(self, capsys):
         assert run_cli([]) == 2
@@ -466,6 +503,14 @@ _BAD_SCENARIOS = {
 }
 
 
+@pytest.fixture
+def bad_scenarios(tmp_path):
+    for name, (old, new) in _BAD_SCENARIOS.items():
+        assert old in FAST_SCENARIO
+        (tmp_path / f"{name}.ini").write_text(FAST_SCENARIO.replace(old, new))
+    return tmp_path
+
+
 class TestCliBadValues:
     @pytest.mark.parametrize("argv, culprit", [
         (["validate", "default", "--seed", "-1"], "--seed"),
@@ -497,18 +542,31 @@ class TestCliBadValues:
         (["sweep", "default", "--param", "queue_size", "--values", "5..1"], "--values"),
         (["sweep", "default", "--param", "queue_size", "--values", ","], "--values"),
         (["sweep", "default", "--param", "nn_resolution", "--values", "608.9"], "--values"),
+        (["sweep", "default", "--param", "queue_size", "--values", "0.5"],
+         "--values: queue_size 0.5: [queue] size"),
+        (["sweep", "default", "--param", "nn_resolution", "--values", "calibrated"],
+         "--values: nn_resolution calibrated: [profile] preset"),
     ])
-    def test_exits_2_naming_the_culprit(self, argv, culprit, tmp_path):
-        for name, (old, new) in _BAD_SCENARIOS.items():
-            assert old in FAST_SCENARIO
-            (tmp_path / f"{name}.ini").write_text(FAST_SCENARIO.replace(old, new))
-        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    def test_exits_2_naming_the_culprit(self, argv, culprit, bad_scenarios, capsys):
+        # In process: any exception other than argparse's exit fails the test.
+        argv = [a.replace("{tmp}", str(bad_scenarios)) for a in argv]
+        assert run_cli(argv) == 2
+        assert culprit in capsys.readouterr().err
+
+
+class TestCliModule:
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["validate", "{tmp}/negative_seed.ini"], 2, "stderr", "error: [sim] seed"),
+        (["analyze", "default", "--format", "csv"], 0, "stdout", "vanilla,SERVICE_LIMITED,"),
+    ])
+    def test_python_m_entry_point(self, argv, code, stream, text, bad_scenarios):
+        argv = [a.replace("{tmp}", str(bad_scenarios)) for a in argv]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pipedelay.__file__)))
         proc = subprocess.run([sys.executable, "-m", "pipedelay.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 2
+        assert proc.returncode == code
         assert "Traceback" not in proc.stderr
-        assert culprit in proc.stderr
+        assert text in getattr(proc, stream)
 
 
 # -- fuzzing --------------------------------------------------------------------
