@@ -9,10 +9,12 @@ Four commands, all driven by a scenario file or shipped preset name:
 
 Outputs are pure functions of (scenario file, flags, seed): no
 timestamps, no machine state, stable ordering. Exit codes: 0 success,
-1 validation failure, 2 usage or scenario errors.
+1 validation failure, 2 usage or scenario errors, 141 stdout closed by
+its reader (as `pipedelay ... | head` does).
 """
 
 import argparse
+from itertools import chain
 import math
 import os
 import sys
@@ -30,7 +32,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _table(headers, rows) -> list[str]:
+def _text(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _table(headers, rows) -> str:
     cells = [[_fmt(c) for c in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
               for i, h in enumerate(headers)]
@@ -38,26 +44,34 @@ def _table(headers, rows) -> list[str]:
     lines.append("  ".join("-" * w for w in widths))
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return lines
+    return _text(lines)
 
 
-def _csv(headers, rows) -> list[str]:
+def _csv(headers, rows) -> str:
     def cell(c):
         return f"{c:.6f}" if isinstance(c, float) else str(c)
-    return [",".join(headers)] + [",".join(cell(c) for c in row) for row in rows]
+    return _text([",".join(headers)] + [",".join(cell(c) for c in row) for row in rows])
+
+
+def _trace_tsv(trace) -> str:
+    """A run's trace events as TSV text, header first: one `%` format over
+    the flattened (time_ns, kind, frame, detail) events."""
+    return ("time_ns\tevent_type\tframe_id\tdetail\n"
+            + "%d\t%s\t%d\t%d\n" * len(trace) % tuple(chain.from_iterable(trace)))
 
 
 def _emit(headers, rows, fmt: str) -> None:
-    lines = _csv(headers, rows) if fmt == "csv" else _table(headers, rows)
-    print("\n".join(lines))
+    print(_csv(headers, rows) if fmt == "csv" else _table(headers, rows), end="")
 
 
-def _write(out_dir: str, filename: str, lines) -> None:
+def _write(out_dir: str, files: dict[str, str]) -> None:
+    """Write each file's text under `out_dir`, which is made if missing."""
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, filename)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {path}")
+    for filename, text in files.items():
+        path = os.path.join(out_dir, filename)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
 
 
 def _histogram(values, bin_ms: float = 1.0):
@@ -96,7 +110,7 @@ def cmd_analyze(args) -> int:
     for note in notes:
         print(f"note: {note}")
     if args.out:
-        _write(args.out, "analysis.csv", _csv(headers, rows))
+        _write(args.out, {"analysis.csv": _csv(headers, rows)})
     return 0
 
 
@@ -130,22 +144,20 @@ def cmd_simulate(args) -> int:
         for w in r.warnings:
             print(f"note: {r.variant_name}: {w}")
     if args.out:
-        _write(args.out, "summary.csv", _csv(_SUMMARY_HEADERS, rows))
+        files = {"summary.csv": _csv(_SUMMARY_HEADERS, rows)}
         for r in results:
             for label, values in (("e2e", r.detected_e2e()),
                                   ("cycle", r.cycle_times)):
-                hist = _histogram(values)
-                _write(args.out, f"hist_{label}_{r.variant_name}.csv",
-                       _csv(("bin_start_ms", "count"), hist))
-    if args.trace:
+                files[f"hist_{label}_{r.variant_name}.csv"] = _csv(
+                    ("bin_start_ms", "count"), _histogram(values))
+        if args.trace:
+            files.update((f"trace_{r.variant_name}.tsv", _trace_tsv(r.trace))
+                         for r in results)
+        _write(args.out, files)
+    elif args.trace:
         for r in results:
-            lines = ["\t".join(("time_ns", "event_type", "frame_id", "detail"))]
-            lines += ["\t".join(str(f) for f in ev) for ev in r.trace]
-            if args.out:
-                _write(args.out, f"trace_{r.variant_name}.tsv", lines)
-            else:
-                print(f"trace[{r.variant_name}]:")
-                print("\n".join(lines))
+            print(f"trace[{r.variant_name}]:")
+            print(_trace_tsv(r.trace), end="")
     return 0
 
 
@@ -176,7 +188,7 @@ def cmd_validate(args) -> int:
     for note in notes:
         print(f"note: {note}")
     if args.out:
-        _write(args.out, "validation.csv", _csv(headers, rows))
+        _write(args.out, {"validation.csv": _csv(headers, rows)})
     if failed:
         print("result: FAIL")
     elif not_run:
@@ -245,7 +257,7 @@ def cmd_sweep(args, parser) -> int:
     headers = ("param", "value", "mean_e2e_ms", "mean_cycle_ms")
     _emit(headers, rows, args.format)
     if args.out:
-        _write(args.out, "sweep.csv", _csv(headers, rows))
+        _write(args.out, {"sweep.csv": _csv(headers, rows)})
     return 0
 
 
@@ -303,16 +315,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        return cmd_sweep(args, parser)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            code = cmd_analyze(args)
+        elif args.command == "simulate":
+            code = cmd_simulate(args)
+        elif args.command == "validate":
+            code = cmd_validate(args)
+        else:
+            code = cmd_sweep(args, parser)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Stop quietly with the status of a process
+        # killed by SIGPIPE; stdout goes to devnull so that the interpreter's
+        # flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

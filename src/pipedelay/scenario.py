@@ -338,6 +338,8 @@ def parse_scenario(text: str, name: str = "scenario", base_dir: str = ".",
             raise ScenarioError(
                 f"[scenario] variants: unknown variant {vname!r} "
                 f"(expected one of {', '.join(_VARIANTS)})")
+        if raw_variants.count(vname) > 1:
+            raise ScenarioError(f"[scenario] variants: {vname!r} is listed more than once")
         variants.append(_VARIANTS[vname](*args.get(vname, ())))
 
     sim_sec = section("sim")

@@ -302,10 +302,15 @@ def run(cfg: SimConfig) -> SimResult:
     capture, decision, delivery = _camera_timeline(cfg, rng_cam)
     n_frames = len(capture)
 
+    # Each stage contended, then uncontended. A contended stage sums its
+    # uncontended parts and then its inflation term, so it is built from the
+    # uncontended distribution with one convolution (the same fold).
     p = cfg.profile
-    dists = (p.fetch_delay_dist(True), p.fetch_delay_dist(False),
-             p.infer_delay_dist(True), p.infer_delay_dist(False),
-             p.disp_delay_dist(True), p.disp_delay_dist(False))
+    dists = []
+    for uncontended, inflation in ((p.fetch_delay_dist(False), p.fetch_inflation),
+                                   (p.infer_delay_dist(False), p.infer_inflation),
+                                   (p.disp_delay_dist(False), p.disp_inflation)):
+        dists += (uncontended.convolve(inflation), uncontended)
     streams = [_stream(d, np.random.default_rng(c)) for d, c in zip(dists, ss_stages.spawn(6))]
 
     variant = cfg.variant

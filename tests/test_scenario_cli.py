@@ -1,6 +1,7 @@
 """Scenario file parsing and the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -26,6 +27,7 @@ from pipedelay.scenario import (
     load_scenario,
     parse_scenario,
 )
+from pipedelay.sim import run
 
 MICRO_INLINE = """\
 [scenario]
@@ -418,6 +420,122 @@ class TestCliSimulatorWarnings:
         assert "zero_slack/end_to_end" in lines[-1]
 
 
+# Scenarios of the trace output test: a shipped preset, a run of one captured
+# frame (the micro camera at 10 ms, the simulator tests' "single" run) and a
+# run that retrieves no frame, whose trace holds only captures and skips.
+_TRACE_SCENARIOS = {
+    "default": None,
+    "single": MICRO_INLINE.replace(
+        "variants = vanilla", "variants = vanilla, on_demand, contention_free"
+    ).replace("duration_ms = 100", "duration_ms = 10"),
+    "idle": TestCliSimulatorWarnings.IDLE,
+}
+
+
+def _digest(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+class TestTraceOutput:
+    """The bytes `simulate --trace` writes and prints, pinned at a fixed seed."""
+
+    SEED = 11
+    # sha256 (first 16 hex digits) of every file `--out DIR` writes, of the
+    # stdout with `--out DIR` (DIR spelled as such) and of the stdout without.
+    # Recorded at commit 160c21d.
+    GOLDEN = {
+        "default": {
+            "<stdout>": "203cb49bb093fb7f",
+            "<stdout --out>": "d9d1852fdb785eba",
+            "summary.csv": "8db5c6c9a140b46e",
+            "hist_cycle_contention_free.csv": "98cccc858f15a1d6",
+            "hist_cycle_on_demand.csv": "1dbda1467854181d",
+            "hist_cycle_vanilla.csv": "79cb4ef91afbf346",
+            "hist_cycle_zero_slack.csv": "a99498c9fa8efd11",
+            "hist_e2e_contention_free.csv": "e152252cdc924471",
+            "hist_e2e_on_demand.csv": "2e491a5a0d6fd440",
+            "hist_e2e_vanilla.csv": "54f9b7ffe118f93f",
+            "hist_e2e_zero_slack.csv": "b16158712499a395",
+            "trace_contention_free.tsv": "2eb157ecd8002d4d",
+            "trace_on_demand.tsv": "f436751d076c4b20",
+            "trace_vanilla.tsv": "ce34542164e7fdab",
+            "trace_zero_slack.tsv": "c1ce3f1b76938c37",
+        },
+        "single": {
+            "<stdout>": "2fcb439b3b898142",
+            "<stdout --out>": "01355feeb8e5693d",
+            "summary.csv": "f238eb627757d1d0",
+            "hist_cycle_contention_free.csv": "87c49d59c83bd2bc",
+            "hist_cycle_on_demand.csv": "523e1d9529e2f80b",
+            "hist_cycle_vanilla.csv": "523e1d9529e2f80b",
+            "hist_e2e_contention_free.csv": "af3ad6020b2d4dd4",
+            "hist_e2e_on_demand.csv": "af3ad6020b2d4dd4",
+            "hist_e2e_vanilla.csv": "af3ad6020b2d4dd4",
+            "trace_contention_free.tsv": "312af584a9bf69f2",
+            "trace_on_demand.tsv": "312af584a9bf69f2",
+            "trace_vanilla.tsv": "9d38403ccfa2f42e",
+        },
+        "idle": {
+            "<stdout>": "b77c895b9ebc067e",
+            "<stdout --out>": "0f3e0c20d26fb769",
+            "summary.csv": "c241cf932cc9cbcd",
+            "hist_cycle_zero_slack.csv": "af3ad6020b2d4dd4",
+            "hist_e2e_zero_slack.csv": "af3ad6020b2d4dd4",
+            "trace_zero_slack.tsv": "af051f9a6d72d549",
+        },
+    }
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("trace")
+        outs = {}
+        for name, text in _TRACE_SCENARIOS.items():
+            scenario = name
+            if text is not None:
+                scenario = str(tmp / f"{name}.ini")
+                (tmp / f"{name}.ini").write_text(text)
+            out_dir = str(tmp / f"{name}_out")
+            argv = ["simulate", scenario, "--trace", "--seed", str(self.SEED)]
+            blobs = {}
+            for key, extra in (("<stdout>", []), ("<stdout --out>", ["--out", out_dir])):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    assert cli.main(argv + extra) == 0
+                blobs[key] = buf.getvalue().replace(out_dir, "DIR").encode()
+            for fname in sorted(os.listdir(out_dir)):
+                with open(os.path.join(out_dir, fname), "rb") as fh:
+                    blobs[fname] = fh.read()
+            outs[name] = (load_scenario(scenario), blobs)
+        return outs
+
+    @pytest.mark.parametrize("name", sorted(_TRACE_SCENARIOS))
+    def test_bytes_match_recorded_digests(self, name, outputs):
+        _, blobs = outputs[name]
+        assert {k: _digest(v) for k, v in blobs.items()} == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("name", sorted(_TRACE_SCENARIOS))
+    def test_tsv_parses_back_to_the_trace(self, name, outputs):
+        scenario, blobs = outputs[name]
+        for variant in scenario.variants:
+            lines = blobs[f"trace_{variant.name}.tsv"].decode().split("\n")
+            assert lines[0] == "time_ns\tevent_type\tframe_id\tdetail"
+            assert lines[-1] == ""
+            events = [(int(t), kind, int(frame), int(detail)) for t, kind, frame, detail
+                      in (line.split("\t") for line in lines[1:-1])]
+            r = run(scenario.sim_config(variant, seed=self.SEED, trace=True))
+            assert events == r.trace
+
+    def test_traces_cover_every_event_kind(self, outputs):
+        kinds = {}
+        for name, (_, blobs) in outputs.items():
+            kinds[name] = {line.split(b"\t")[1] for fname, blob in blobs.items()
+                           if fname.startswith("trace_")
+                           for line in blob.splitlines()[1:]}
+        assert set().union(*kinds.values()) == {
+            b"capture", b"accept", b"drop", b"skip", b"retrieve"}
+        assert kinds["idle"] == {b"capture", b"skip"}
+
+
 class TestCliSweep:
     def test_queue_size_sweep_is_monotone(self, scenario_file, capsys):
         assert run_cli(["sweep", scenario_file, "--param", "queue_size",
@@ -500,6 +618,7 @@ _BAD_SCENARIOS = {
                        "preset = xavier-yolov3-608\n\n[profile.fetch_exec]\nconst = -1"),
     "nan_capture_floor": ("preset = c930e-640x480-30",
                           "preset = c930e-640x480-30\nmin_capture_delay = nan"),
+    "repeated_variant": ("variants = vanilla", "variants = vanilla, on_demand, vanilla"),
 }
 
 
@@ -546,6 +665,8 @@ class TestCliBadValues:
          "--values: queue_size 0.5: [queue] size"),
         (["sweep", "default", "--param", "nn_resolution", "--values", "calibrated"],
          "--values: nn_resolution calibrated: [profile] preset"),
+        (["simulate", "{tmp}/repeated_variant.ini", "--out", "{tmp}/out"],
+         "[scenario] variants: 'vanilla' is listed more than once"),
     ])
     def test_exits_2_naming_the_culprit(self, argv, culprit, bad_scenarios, capsys):
         # In process: any exception other than argparse's exit fails the test.
@@ -555,18 +676,34 @@ class TestCliBadValues:
 
 
 class TestCliModule:
+    ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pipedelay.__file__)))
+
     @pytest.mark.parametrize("argv, code, stream, text", [
         (["validate", "{tmp}/negative_seed.ini"], 2, "stderr", "error: [sim] seed"),
         (["analyze", "default", "--format", "csv"], 0, "stdout", "vanilla,SERVICE_LIMITED,"),
     ])
     def test_python_m_entry_point(self, argv, code, stream, text, bad_scenarios):
         argv = [a.replace("{tmp}", str(bad_scenarios)) for a in argv]
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pipedelay.__file__)))
         proc = subprocess.run([sys.executable, "-m", "pipedelay.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=self.ENV, timeout=60)
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
         assert text in getattr(proc, stream)
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # As `pipedelay simulate default --trace | head -1` does.
+        proc = subprocess.Popen([sys.executable, "-m", "pipedelay.cli", "simulate", "default",
+                                 "--trace"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=self.ENV)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert first.startswith(b"variant ")
+        assert (proc.returncode, err) == (141, b"")
 
 
 # -- fuzzing --------------------------------------------------------------------
