@@ -216,7 +216,10 @@ def _build_stage(sec: _Section, base_dir: str) -> DelayDist:
     path = os.path.join(base_dir, sec.items["csv"])
     if not os.path.isfile(path):
         raise ScenarioError(f"[{sec.name}] csv: no such file: {path}")
-    samples = load_samples_csv(path)
+    try:
+        samples = load_samples_csv(path)
+    except ValueError as exc:
+        raise ScenarioError(f"[{sec.name}] csv: {exc}") from None
     bin_ms = sec.get("bin_ms", float, 1.0)
     try:
         return DelayDist.from_samples(samples, bin_width_ms=bin_ms)
@@ -389,8 +392,11 @@ def load_scenario(path_or_name: str,
     """Load a scenario file, or a shipped preset by name, with `edits`
     applied as in `parse_scenario`."""
     if os.path.isfile(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path_or_name, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path_or_name}: not UTF-8 text ({exc.reason})") from None
         stem = os.path.splitext(os.path.basename(path_or_name))[0]
         return parse_scenario(text, name=stem, edits=edits,
                               base_dir=os.path.dirname(os.path.abspath(path_or_name)))

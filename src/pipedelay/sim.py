@@ -37,6 +37,11 @@ fetched frames, their retrieval instants and display ends, and the cycle
 lengths; drops, queue occupancy, admission depths, cycle starts,
 steady-cycle masks, fetch blocking and the trace events are derived from
 these after the loop.
+
+Stage delays come from six seeded draw streams, one per stage, contended
+and uncontended. Each draws in chunks of 64 values at first, doubling up
+to 4096, so a short run draws little more than it reads; the values a
+stream yields do not depend on the chunk sizes.
 """
 
 from bisect import bisect_right
@@ -52,6 +57,8 @@ from .detector import PipelineVariant, StageProfile
 from .dist import DelayDist
 
 _MS = 1_000_000  # ns per ms
+# A stream's draw chunks double from _FIRST_CHUNK up to _CHUNK values.
+_FIRST_CHUNK = 64
 _CHUNK = 4096
 _NEVER = 1 << 62  # ns, later than any event of a run
 # Objects are injected uniformly over this leading fraction of the run so
@@ -155,13 +162,19 @@ class SimResult:
 
 
 def _stream(dist: DelayDist, rng: np.random.Generator):
-    """Endless ns-valued draws from one DelayDist, drawn `_CHUNK` at a time."""
+    """Endless ns-valued draws from one DelayDist, drawn in chunks of
+    `_FIRST_CHUNK` values doubling up to `_CHUNK`. `rng.random(a)` then
+    `rng.random(b)` gives the values of `rng.random(a + b)`, and the rest
+    of a draw works value by value, so the stream does not depend on the
+    chunk sizes."""
     if len(dist) == 1:
         return repeat(int(np.rint(dist.min * _MS)))
 
     def chunks():
+        n = _FIRST_CHUNK
         while True:
-            yield np.rint(dist.sample_array(rng, _CHUNK) * _MS).astype(np.int64).tolist()
+            yield np.rint(dist.sample_array(rng, n) * _MS).astype(np.int64).tolist()
+            n = min(2 * n, _CHUNK)
 
     return chain.from_iterable(chunks())
 

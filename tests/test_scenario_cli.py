@@ -619,6 +619,20 @@ _BAD_SCENARIOS = {
     "nan_capture_floor": ("preset = c930e-640x480-30",
                           "preset = c930e-640x480-30\nmin_capture_delay = nan"),
     "repeated_variant": ("variants = vanilla", "variants = vanilla, on_demand, vanilla"),
+    "csv_not_a_number": ("preset = xavier-yolov3-608",
+                         "preset = xavier-yolov3-608\n\n[profile.fetch_exec]\ncsv = abc.csv"),
+    "csv_not_utf8": ("preset = xavier-yolov3-608",
+                     "preset = xavier-yolov3-608\n\n[profile.fetch_exec]\ncsv = latin1.csv"),
+    "csv_long_field": ("preset = xavier-yolov3-608",
+                       "preset = xavier-yolov3-608\n\n[profile.fetch_exec]\ncsv = long.csv"),
+}
+
+# Stage sample files and a scenario file that are not what they should be.
+_BAD_FILES = {
+    "abc.csv": b"5\nabc\n",
+    "latin1.csv": b"5\n\xff\n",
+    "long.csv": b"5\n" + b"1" * 200_000 + b"\n",   # beyond the csv module's field limit
+    "not_utf8.ini": b"[scenario]\nname = \xff\n" + FAST_SCENARIO.encode()[len("[scenario]\n"):],
 }
 
 
@@ -627,6 +641,8 @@ def bad_scenarios(tmp_path):
     for name, (old, new) in _BAD_SCENARIOS.items():
         assert old in FAST_SCENARIO
         (tmp_path / f"{name}.ini").write_text(FAST_SCENARIO.replace(old, new))
+    for name, content in _BAD_FILES.items():
+        (tmp_path / name).write_bytes(content)
     return tmp_path
 
 
@@ -667,12 +683,19 @@ class TestCliBadValues:
          "--values: nn_resolution calibrated: [profile] preset"),
         (["simulate", "{tmp}/repeated_variant.ini", "--out", "{tmp}/out"],
          "[scenario] variants: 'vanilla' is listed more than once"),
+        (["analyze", "{tmp}/csv_not_a_number.ini"],
+         "[profile.fetch_exec] csv: {tmp}/abc.csv:2: not a number: 'abc'"),
+        (["analyze", "{tmp}/csv_not_utf8.ini"],
+         "[profile.fetch_exec] csv: {tmp}/latin1.csv: not UTF-8 text"),
+        (["analyze", "{tmp}/csv_long_field.ini"],
+         "[profile.fetch_exec] csv: {tmp}/long.csv: field larger than field limit"),
+        (["validate", "{tmp}/not_utf8.ini"], "{tmp}/not_utf8.ini: not UTF-8 text"),
     ])
     def test_exits_2_naming_the_culprit(self, argv, culprit, bad_scenarios, capsys):
         # In process: any exception other than argparse's exit fails the test.
         argv = [a.replace("{tmp}", str(bad_scenarios)) for a in argv]
         assert run_cli(argv) == 2
-        assert culprit in capsys.readouterr().err
+        assert culprit.replace("{tmp}", str(bad_scenarios)) in capsys.readouterr().err
 
 
 class TestCliModule:
@@ -771,3 +794,55 @@ class TestCliFuzz:
                 assert exc.code == 2, argv
             else:
                 assert code in (0, 1, 2), argv
+
+
+# A short scenario whose fetch stage is read from a sample file.
+_CSV_SCENARIO = """\
+[scenario]
+variants = vanilla, zero_slack
+
+[camera]
+preset = c930e-640x480-30
+
+[profile]
+preset = xavier-yolov3-608
+
+[profile.fetch_exec]
+csv = samples.csv
+
+[sim]
+duration_ms = 500
+objects = 20
+"""
+
+
+class TestCliFileFuzz:
+    """Random bytes, or random text lines put among the real ones, in the
+    scenario file or in its stage sample file."""
+
+    @staticmethod
+    def _contents(data, base: str) -> bytes:
+        if data.draw(st.booleans()):
+            return data.draw(st.binary(max_size=200))
+        lines = base.splitlines()
+        for _ in range(data.draw(st.integers(1, 4))):
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.text(max_size=20)))
+        return ("\n".join(lines) + "\n").encode()
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_exit_code_is_0_1_or_2(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            texts = {"scenario.ini": _CSV_SCENARIO, "samples.csv": "5\n6\n7.5\n"}
+            fuzzed = data.draw(st.sampled_from(sorted(texts)))
+            files = {name: text.encode() for name, text in texts.items()}
+            files[fuzzed] = self._contents(data, texts[fuzzed])
+            for name, content in files.items():
+                with open(os.path.join(tmp, name), "wb") as fh:
+                    fh.write(content)
+            command = data.draw(st.sampled_from(["analyze", "simulate", "validate"]))
+            argv = [command, os.path.join(tmp, "scenario.ini")]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in (0, 1, 2), (argv, files[fuzzed])

@@ -11,9 +11,12 @@ are phrased relative to it.
 
 import dataclasses
 import hashlib
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipedelay.camera import CameraConfig, UsbLinkConfig
 from pipedelay.detector import (
@@ -26,7 +29,7 @@ from pipedelay.detector import (
 )
 from pipedelay.dist import DelayDist, ZERO_DELAY
 from pipedelay.scenario import load_scenario
-from pipedelay.sim import SimConfig, SimResult, run
+from pipedelay.sim import _FIRST_CHUNK, _MS, SimConfig, SimResult, _stream, run
 from test_acceptance import _random_scenario
 
 MICRO_CAM = CameraConfig(frame_rate=100.0, width=700, height=1, bits_per_pixel=16)
@@ -231,6 +234,41 @@ class TestDeterminism:
         assert np.array_equal(a.e2e_delays, b.e2e_delays, equal_nan=True)
         assert np.array_equal(a.cycle_times, b.cycle_times)
         assert b.trace is not None and len(b.trace)
+
+
+class TestDrawSchedule:
+    """The stage streams draw in growing chunks; what they yield must not
+    depend on the chunk sizes, and a run draws little more than it reads."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.sampled_from([63, 64, 65, 4032, 4096, 9000]),
+           points=st.lists(st.tuples(st.integers(0, 10_000), st.integers(1, 9)),
+                           min_size=1, max_size=6, unique_by=lambda p: p[0]))
+    def test_stream_is_one_draw_of_every_value(self, seed, n, points):
+        total = sum(w for _, w in points)
+        dist = DelayDist.from_points((v / 7, w / total) for v, w in points)
+        got = list(islice(_stream(dist, np.random.default_rng(seed)), n))
+        want = np.rint(dist.sample_array(np.random.default_rng(seed), n) * _MS)
+        assert got == want.astype(np.int64).tolist()
+
+    @pytest.mark.parametrize("duration_ms", [2000.0, 30000.0])
+    @pytest.mark.parametrize("variant", load_scenario("default").variants,
+                             ids=lambda v: v.name)
+    def test_run_draws_about_what_it_reads(self, variant, duration_ms, monkeypatch):
+        drawn = []
+        sample_array = DelayDist.sample_array
+
+        def counting(self, rng, n):
+            drawn.append(n)
+            return sample_array(self, rng, n)
+
+        monkeypatch.setattr(DelayDist, "sample_array", counting)
+        s = load_scenario("default")
+        r = run(dataclasses.replace(s.sim_config(variant), duration_ms=duration_ms))
+        # Each cycle reads at most three stages, and a stream draws at most
+        # twice what it has read plus its first chunk.
+        assert 0 < sum(drawn) < 6 * len(r.cycle_times) + 6 * _FIRST_CHUNK
 
 
 class TestConservationAndCausality:
