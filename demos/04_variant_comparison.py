@@ -15,26 +15,26 @@ frame, yet their end-to-end delays span a factor of four:
                      inference instead of racing it on CPU
 """
 
-from pipedelay import compare_variants, load_scenario
+from pipedelay import analyze, load_scenario, run
 
 scenario = load_scenario("default")
-outcomes = compare_variants(
-    scenario.camera, scenario.usb, scenario.profile, scenario.variants,
-    duration_ms=scenario.duration_ms, seed=scenario.seed,
-    n_objects=scenario.n_objects,
-)
 
 header = (f"{'variant':<17}{'mean_e2e':>10}{'p99_e2e':>10}{'cycle':>9}"
           f"{'bound_lo':>10}{'bound_hi':>10}{'drops':>7}")
 print(header)
 print("-" * len(header))
-for o in outcomes:
-    print(f"{o.name:<17}{o.mean_e2e:>10.1f}{o.p99_e2e:>10.1f}"
-          f"{o.mean_cycle:>9.1f}{o.bounds.total_min:>10.1f}"
-          f"{o.bounds.total_max:>10.1f}{o.drops:>7}")
+means = []
+for v in scenario.variants:
+    bounds = analyze(scenario.camera, scenario.usb, scenario.profile, v)
+    r = run(scenario.sim_config(v))
+    mean_e2e, p99_e2e = r.e2e_mean_p99()
+    means.append(mean_e2e)
+    print(f"{v.name:<17}{mean_e2e:>10.1f}{p99_e2e:>10.1f}"
+          f"{r.mean_cycle_ms():>9.1f}{bounds.total_min:>10.1f}"
+          f"{bounds.total_max:>10.1f}{r.drops:>7}")
 
-base = outcomes[0].mean_e2e
-best = min(o.mean_e2e for o in outcomes)
+base = means[0]
+best = min(means)
 print(f"\nend-to-end reduction vs vanilla: {100 * (base - best) / base:.1f}%")
 
 # Note the cycle column: dropping the queue and delaying the fetch are

@@ -11,9 +11,7 @@ configuration files and the command-line front end).
 from .analysis import (
     E2EBounds,
     ValidationReport,
-    VariantOutcome,
     analyze,
-    compare_variants,
     validate_against_analysis,
 )
 from .camera import (
@@ -73,7 +71,6 @@ __all__ = [
     "UsbLinkConfig",
     "ValidationReport",
     "Vanilla",
-    "VariantOutcome",
     "ZERO_DELAY",
     "ZeroSlack",
     "analyze",
@@ -82,7 +79,6 @@ __all__ = [
     "camera_delay_bounds",
     "capture_delay_max",
     "classify",
-    "compare_variants",
     "compute_theta_fetch",
     "convolve_all",
     "detector_delay_bounds",

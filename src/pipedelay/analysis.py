@@ -17,6 +17,10 @@ blocking) hold for every frame that enters a saturated queue, i.e. one
 admitted with the buffer otherwise full right after a blocking-free
 retrieval; without it the bounds are widened so they stay sound
 everywhere.
+
+Nothing here runs the simulator: a run comes from
+`run(scenario.sim_config(variant))`, so variants are compared by looping
+over `scenario.variants` (as `pipedelay simulate` and demos/04 do).
 """
 
 import math
@@ -42,7 +46,7 @@ from .detector import (
 )
 from .dist import DelayDist
 from .queueing import QueueDelayBounds, QueueRegime, classify, queue_delay_bounds
-from .sim import SimConfig, SimResult, run
+from .sim import SimResult
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,7 @@ def analyze(
         s_for_camera = det_wide.s_max
     else:
         det = detector_delay_bounds(profile, variant, b_lo, b_hi)
-        qd = QueueDelayBounds(regime, 0, 0.0, 0.0)
+        qd = QueueDelayBounds(0, 0.0, 0.0)
         s_for_camera = det.s_max
     cam_b = camera_delay_bounds(cam, usb, s_for_camera)
 
@@ -151,8 +155,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    variant_name: str
-    shrink_ms: float
     checks: tuple
     notes: tuple
 
@@ -273,63 +275,5 @@ def validate_against_analysis(
     checks.append(_check("end_to_end", result.e2e_delays[detected][steady[pos]],
                          bounds.total_min + s, bounds.total_max - s))
 
-    return ValidationReport(
-        variant_name=result.variant_name,
-        shrink_ms=shrink_ms,
-        checks=tuple(checks),
-        notes=tuple(notes),
-    )
+    return ValidationReport(checks=tuple(checks), notes=tuple(notes))
 
-
-@dataclass(frozen=True)
-class VariantOutcome:
-    name: str
-    bounds: E2EBounds
-    mean_e2e: float
-    p99_e2e: float
-    mean_cycle: float
-    mean_b_fetch: float
-    drops: int
-    objects_detected: int
-    objects_missed: int
-
-
-def compare_variants(
-    cam: CameraConfig,
-    usb: UsbLinkConfig,
-    profile: StageProfile,
-    variants,
-    duration_ms: float,
-    seed: int,
-    n_objects: int = 500,
-) -> list[VariantOutcome]:
-    """Analyze and simulate each variant under identical conditions."""
-    out = []
-    for v in variants:
-        b = analyze(cam, usb, profile, v)
-        r = run(
-            SimConfig(
-                camera=cam,
-                usb=usb,
-                profile=profile,
-                variant=v,
-                duration_ms=duration_ms,
-                seed=seed,
-                n_objects=n_objects,
-            )
-        )
-        mean_e2e, p99_e2e = r.e2e_mean_p99()
-        out.append(
-            VariantOutcome(
-                name=v.name,
-                bounds=b,
-                mean_e2e=mean_e2e,
-                p99_e2e=p99_e2e,
-                mean_cycle=r.mean_cycle_ms(),
-                mean_b_fetch=float(r.b_fetch_ms.mean()) if len(r.b_fetch_ms) else float("nan"),
-                drops=r.drops,
-                objects_detected=int(len(r.detected_e2e())),
-                objects_missed=r.objects_missed,
-            )
-        )
-    return out

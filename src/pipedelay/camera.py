@@ -30,8 +30,10 @@ class CameraConfig:
     def __post_init__(self):
         if not (self.frame_rate > 0):
             raise ValueError("frame_rate must be positive")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("resolution must be at least 1x1")
+        if self.width < 1:
+            raise ValueError("width must be positive")
+        if self.height < 1:
+            raise ValueError("height must be positive")
         if self.bits_per_pixel < 1:
             raise ValueError("bits_per_pixel must be positive")
         if self.min_capture_delay < 0:
@@ -63,7 +65,7 @@ class UsbLinkConfig:
         if not (self.microframe_ms > 0):
             raise ValueError("microframe_ms must be positive")
         if self.protocol_overhead_microframes < 0:
-            raise ValueError("protocol overhead cannot be negative")
+            raise ValueError("protocol_overhead_microframes must be >= 0")
 
     @property
     def urb_period_ms(self) -> float:

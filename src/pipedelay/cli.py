@@ -114,13 +114,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _simulate_all(scenario: Scenario, seed: int | None, trace: bool):
-    results = []
-    for variant in scenario.variants:
-        results.append(run(scenario.sim_config(variant, seed=seed, trace=trace)))
-    return results
-
-
 def _summary_row(r):
     mean_e2e, p99_e2e = r.e2e_mean_p99()
     return (
@@ -137,7 +130,8 @@ _SUMMARY_HEADERS = (
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    results = _simulate_all(scenario, args.seed, args.trace)
+    results = [run(scenario.sim_config(v, seed=args.seed, trace=args.trace))
+               for v in scenario.variants]
     rows = [_summary_row(r) for r in results]
     _emit(_SUMMARY_HEADERS, rows, args.format)
     for r in results:

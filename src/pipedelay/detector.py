@@ -18,10 +18,6 @@ from .camera import CameraConfig, UsbLinkConfig, transfer_delay_bounds, frame_si
 from .dist import DelayDist, ZERO_DELAY, convolve_all, max_combine
 
 
-def _const(v: float) -> DelayDist:
-    return DelayDist.constant(v)
-
-
 @dataclass(frozen=True)
 class StageProfile:
     """Per-stage execution time distributions (ms).
@@ -38,7 +34,7 @@ class StageProfile:
     disp_exec: DelayDist
     disp_block: DelayDist = field(default_factory=lambda: ZERO_DELAY)
     fetch_inflation: DelayDist = field(default_factory=lambda: ZERO_DELAY)
-    infer_inflation: DelayDist = field(default_factory=lambda: _const(28.0))
+    infer_inflation: DelayDist = field(default_factory=lambda: DelayDist.constant(28.0))
     disp_inflation: DelayDist = field(default_factory=lambda: ZERO_DELAY)
 
     def _parts(self, contended: bool):

@@ -23,7 +23,6 @@ class QueueRegime(enum.Enum):
 
 @dataclass(frozen=True)
 class QueueDelayBounds:
-    regime: QueueRegime
     queue_size: int
     d_queue_min: float
     d_queue_max: float
@@ -63,9 +62,9 @@ def queue_delay_bounds(
     if queue_size < 0:
         raise ValueError("queue_size must be >= 0")
     if queue_size == 0 or regime is QueueRegime.ARRIVAL_LIMITED:
-        return QueueDelayBounds(regime, queue_size, 0.0, 0.0)
+        return QueueDelayBounds(queue_size, 0.0, 0.0)
     hi = max(0.0, queue_size * s_max - (d_tran_min - urb_period_ms))
     if regime is QueueRegime.MIXED:
-        return QueueDelayBounds(regime, queue_size, 0.0, hi)
+        return QueueDelayBounds(queue_size, 0.0, hi)
     lo = max(0.0, queue_size * s_min - (d_tran_max + refill_gap_ms))
-    return QueueDelayBounds(regime, queue_size, min(lo, hi), hi)
+    return QueueDelayBounds(queue_size, min(lo, hi), hi)

@@ -373,7 +373,7 @@ def parse_scenario(text: str, name: str = "scenario", base_dir: str = ".",
             f"[sim] capture_jitter_ms: {jitter:g} ms exceeds 0.4 of the "
             f"{cycle_ms:g} ms capture interval")
 
-    return Scenario(
+    scenario = Scenario(
         name=scen_sec.items.get("name", name),
         camera=camera,
         usb=usb,
@@ -385,6 +385,17 @@ def parse_scenario(text: str, name: str = "scenario", base_dir: str = ".",
         capture_jitter_ms=jitter,
         profile_preset=profile_preset,
     )
+    # The settings are checked above; what the simulator still rejects is a
+    # run its clock cannot hold, and its error names the culprit field.
+    for variant in scenario.variants:
+        try:
+            scenario.sim_config(variant)
+        except ValueError as exc:
+            path, _, reason = str(exc).partition(": ")
+            key = {"variant.theta": "[zero_slack] theta",
+                   "duration_ms": "[sim] duration_ms"}.get(path, f"[{path}]")
+            raise ScenarioError(f"{key}: {reason}") from None
+    return scenario
 
 
 def load_scenario(path_or_name: str,

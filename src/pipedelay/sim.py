@@ -46,13 +46,14 @@ stream yields do not depend on the chunk sizes.
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, repeat
 import math
 
 import numpy as np
 
-from .camera import CameraConfig, UsbLinkConfig, frame_size, total_microframes
+from .camera import (CameraConfig, UsbLinkConfig, frame_size, total_microframes,
+                     transfer_delay_bounds)
 from .detector import PipelineVariant, StageProfile
 from .dist import DelayDist
 
@@ -88,6 +89,22 @@ class SimConfig:
             raise ValueError("capture_jitter_ms must be >= 0")
         if self.capture_jitter_ms > 0.4 * self.camera.cycle_ms:
             raise ValueError("capture jitter too large for the capture interval")
+        # Every instant of a run must stay below the clock's _NEVER. The last
+        # delivery comes within the jitter, one microframe and the longest
+        # transfer after the run's end; the loop runs at most one cycle per
+        # capture (below duration / C + 1) and two to drain, and no cycle
+        # outlasts theta plus every contended stage maximum (the phased shape
+        # runs its stages in turn). The error names the largest term.
+        p = self.profile
+        terms = {"variant.theta": self.variant.theta,
+                 **{f"profile.{f.name}": getattr(p, f.name).max for f in fields(p)}}
+        _, tran_max = transfer_delay_bounds(frame_size(self.camera), self.usb)
+        last_ms = self.duration_ms + self.capture_jitter_ms + self.usb.microframe_ms + tran_max
+        cycles = self.duration_ms / self.camera.cycle_ms + 3
+        if not (last_ms + cycles * sum(terms.values())) * _MS < _NEVER:
+            key, ms = max({**terms, "duration_ms": self.duration_ms}.items(), key=lambda t: t[1])
+            raise ValueError(f"{key}: {ms:g} ms can end the run past the simulator "
+                             f"clock's {_NEVER / _MS:g} ms")
 
 
 @dataclass

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pipedelay import detector, dist
-from pipedelay.analysis import analyze, compare_variants, validate_against_analysis
+from pipedelay.analysis import analyze, validate_against_analysis
 from pipedelay.camera import CameraConfig, UsbLinkConfig
 from pipedelay.detector import OnDemand, StageProfile, Vanilla, ZeroSlack
 from pipedelay.dist import DelayDist, ZERO_DELAY
@@ -249,16 +249,3 @@ class TestWarnings:
         assert b.detector.clamped
         assert any("clamped" in w for w in b.warnings)
 
-
-class TestCompareVariants:
-    def test_runs_each_variant_under_identical_conditions(self):
-        outcomes = compare_variants(
-            MICRO_CAM, MICRO_USB, MICRO_PROFILE,
-            [Vanilla(1), OnDemand()],
-            duration_ms=2000.0, seed=5, n_objects=20,
-        )
-        assert [o.name for o in outcomes] == ["vanilla", "on_demand"]
-        for o in outcomes:
-            assert o.objects_detected + o.objects_missed == 20
-            assert np.isfinite(o.mean_e2e)
-            assert o.bounds.total_max > o.bounds.total_min

@@ -619,6 +619,16 @@ _BAD_SCENARIOS = {
     "nan_capture_floor": ("preset = c930e-640x480-30",
                           "preset = c930e-640x480-30\nmin_capture_delay = nan"),
     "repeated_variant": ("variants = vanilla", "variants = vanilla, on_demand, vanilla"),
+    "fetch_1e12_queue_4": ("size = 2\n\n[profile]\npreset = xavier-yolov3-608",
+                           "size = 4\n\n[profile]\npreset = xavier-yolov3-608\n\n"
+                           "[profile.fetch_exec]\nconst = 1e12"),
+    "fetch_1e15_contention_free": ("variants = vanilla", "variants = contention_free\n\n"
+                                   "[profile.fetch_exec]\nconst = 1e15"),
+    "fetch_1e308": ("preset = xavier-yolov3-608",
+                    "preset = xavier-yolov3-608\n\n[profile.fetch_exec]\nconst = 1e308"),
+    "negative_overhead": ("preset = c930e-640x480-30", "preset = c930e-640x480-30\n\n"
+                          "[usb]\nprotocol_overhead_microframes = -1"),
+    "zero_width": ("preset = c930e-640x480-30", "preset = c930e-640x480-30\nwidth = 0"),
     "csv_not_a_number": ("preset = xavier-yolov3-608",
                          "preset = xavier-yolov3-608\n\n[profile.fetch_exec]\ncsv = abc.csv"),
     "csv_not_utf8": ("preset = xavier-yolov3-608",
@@ -690,6 +700,11 @@ class TestCliBadValues:
         (["analyze", "{tmp}/csv_long_field.ini"],
          "[profile.fetch_exec] csv: {tmp}/long.csv: field larger than field limit"),
         (["validate", "{tmp}/not_utf8.ini"], "{tmp}/not_utf8.ini: not UTF-8 text"),
+        (["simulate", "{tmp}/fetch_1e12_queue_4.ini"], "[profile.fetch_exec]"),
+        (["validate", "{tmp}/fetch_1e15_contention_free.ini"], "[profile.fetch_exec]"),
+        (["analyze", "{tmp}/fetch_1e308.ini"], "[profile.fetch_exec]"),
+        (["analyze", "{tmp}/negative_overhead.ini"], "protocol_overhead_microframes"),
+        (["analyze", "{tmp}/zero_width.ini"], "width"),
     ])
     def test_exits_2_naming_the_culprit(self, argv, culprit, bad_scenarios, capsys):
         # In process: any exception other than argparse's exit fails the test.

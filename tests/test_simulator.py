@@ -388,6 +388,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             run(micro_config(object_times_ms=(150.0,)))
 
+    @pytest.mark.parametrize("field, value", [("fetch_exec", 1e12), ("infer_gpu", 1e308)])
+    def test_rejects_stage_delays_past_the_clock(self, field, value):
+        profile = dataclasses.replace(MICRO_PROFILE, **{field: DelayDist.constant(value)})
+        with pytest.raises(ValueError, match=f"profile.{field}: "):
+            micro_config(profile=profile)
+
     def test_capture_jitter_preserves_order(self):
         r = run(micro_config(capture_jitter_ms=1.0, object_times_ms=None))
         assert np.all(np.diff(r.capture_ms) > 0)
@@ -660,8 +666,12 @@ class TestBookkeepingMatchesTrace:
             assert r.first_full_ms == (full[0] / 1_000_000 if full else None)
 
     def test_every_frame_fetched_or_dropped_once(self, runs):
+        assert {v.name for v, _ in runs} == {"vanilla", "on_demand", "zero_slack",
+                                             "contention_free"}
         for v, r in runs:
             assert r.drops == r.frames_captured - r.frames_fetched
+            # Each of the run's 50 objects is detected or missed.
+            assert len(r.detected_e2e()) + r.objects_missed == 50
             # Each frame meets one admission outcome; a queueless fetch takes
             # the frame straight to retrieval.
             outcomes = ("accept", "drop") if v.queue_size else ("retrieve", "skip")
