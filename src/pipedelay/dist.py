@@ -141,7 +141,10 @@ class DelayDist:
     # -- algebra ---------------------------------------------------------
 
     def convolve(self, other: "DelayDist") -> "DelayDist":
-        """Distribution of the sum of two independent delays."""
+        """Distribution of the sum of two independent delays. Adding the
+        one-point zero delay returns `self` itself."""
+        if len(other) == 1 and other.values[0] == 0:
+            return self
         values = np.add.outer(self.values, other.values).ravel()
         probs = np.multiply.outer(self.probs, other.probs).ravel()
         return DelayDist(values, probs)   # __post_init__ sorts and merges

@@ -29,14 +29,34 @@ variants differ only in two things:
   (contention-free) shape runs fetch and display together and then
   inference alone, all uncontended.
 
-The loop carries the recurrence state only: the next undecided frame, the
-FIFO, the occupied pipeline slots and the busy sums. Frames dropped at a
-full FIFO, or skipped by a queueless variant, are passed over by one
-bisection of the decision instants per admission. The loop records the
-fetched frames, their retrieval instants and display ends, and the cycle
-lengths; drops, queue occupancy, admission depths, cycle starts,
-steady-cycle masks, fetch blocking and the trace events are derived from
-these after the loop.
+Draw schedule. Only the fetch term of a cycle depends on the recurrence
+state, through the retrieval instant. Which stages run in a cycle, and so
+whether they run contended, depends only on the cycle index n and the
+number F of frames fetched: a cycle fetches while a frame is left, and
+once the FIFO and the camera run dry they stay dry, so cycles 0..F-1 fetch
+and the cycles after them drain the pipeline. Counting each stream's draws
+from 0:
+
+- Pipelined shape: cycle n fetches frame n, infers frame n-1 and displays
+  frame n-2. Cycle 0 fetches alone, uncontended. Cycle n in 1..F-1 runs at
+  least two stages and reads contended fetch n-1, inference n-1 and display
+  n-2. Drain cycle F reads contended inference F-1 and display F-2, except
+  that with F = 1 it only infers, uncontended. Drain cycle F+1 only
+  displays, uncontended.
+- Phased shape: nothing is contended. Cycle n reads fetch n, inference n
+  and display n-1; drain cycle F only displays.
+
+So `run` turns each chunk of the streams into the draws of the cycles
+that read it (fetch, slowest other stage, phased inference) with numpy
+before the loop, and adds the drain cycles after it.
+
+The loop carries the recurrence state only: the cycle start, the next
+undecided frame and the FIFO. Frames dropped at a full FIFO, or skipped
+by a queueless variant, are passed over by one bisection of the decision
+instants per admission. The loop records the fetched frames and the cycle
+lengths; retrieval instants, display ends, drops, queue occupancy,
+admission depths, cycle starts, steady-cycle masks, fetch blocking and the
+trace events are derived from these after the loop.
 
 Stage delays come from six seeded draw streams, one per stage, contended
 and uncontended. Each draws in chunks of 64 values at first, doubling up
@@ -149,7 +169,6 @@ class SimResult:
 
     drops: int
     frames_captured: int
-    per_stage_busy: dict
     warnings: list
     trace: list | None
 
@@ -178,22 +197,26 @@ class SimResult:
         return float(e2e.mean()), float(np.percentile(e2e, 99))
 
 
-def _stream(dist: DelayDist, rng: np.random.Generator):
-    """Endless ns-valued draws from one DelayDist, drawn in chunks of
+def _chunks(dist: DelayDist, rng: np.random.Generator):
+    """Endless ns-valued int64 draws from one DelayDist, in chunks of
     `_FIRST_CHUNK` values doubling up to `_CHUNK`. `rng.random(a)` then
     `rng.random(b)` gives the values of `rng.random(a + b)`, and the rest
-    of a draw works value by value, so the stream does not depend on the
+    of a draw works value by value, so the values do not depend on the
     chunk sizes."""
-    if len(dist) == 1:
-        return repeat(int(np.rint(dist.min * _MS)))
+    n = _FIRST_CHUNK
+    while True:
+        ms = np.full(n, dist.min) if len(dist) == 1 else dist.sample_array(rng, n)
+        yield np.rint(ms * _MS).astype(np.int64)
+        n = min(2 * n, _CHUNK)
 
-    def chunks():
-        n = _FIRST_CHUNK
-        while True:
-            yield np.rint(dist.sample_array(rng, n) * _MS).astype(np.int64).tolist()
-            n = min(2 * n, _CHUNK)
 
-    return chain.from_iterable(chunks())
+def _delayed(chunks, head: np.ndarray):
+    """The values of `chunks` behind the values `head`, in chunks of the
+    same sizes: value n of the result is value n - len(head) of `chunks`."""
+    for c in chunks:
+        k = len(c) - len(head)
+        yield np.concatenate((head, c[:k]))
+        head = c[k:]
 
 
 def _camera_timeline(cfg: SimConfig, rng: np.random.Generator):
@@ -224,103 +247,70 @@ def _camera_timeline(cfg: SimConfig, rng: np.random.Generator):
     return capture, decision, delivery
 
 
-def _run_cycles(decision, delivery, queue_size, theta_ns, phased, streams):
+def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
     """The detector cycle loop of every variant (see the module docstring).
 
     `decision` and `delivery` are per-frame instants in ns; `queue_size`
-    is the FIFO size Q (0 for the queueless variants), `theta_ns` the fetch
-    release delay, and `phased` selects the contention-free cycle shape;
-    `streams` are the draw iterators of fetch, inference and display, each
-    contended then uncontended. The loop carries only the recurrence
-    state: the next undecided frame, the FIFO, the occupied pipeline slots
-    and the busy sums. It returns the fetched frames, their retrieval
-    instants and display ends (both in fetch order), the cycle lengths, the
-    busy sums and the end instant; `run` derives everything else from these.
+    is the FIFO size Q (0 for the queueless variants) and `theta_ns` the
+    fetch release delay. `draws` yields, for cycle 0, 1, ..., the cycle's
+    fetch time, its slowest other stage running alongside the fetch, and
+    the time that runs after both (the phased inference, else 0). The loop
+    carries only the recurrence state: the cycle start, the next undecided
+    frame and the FIFO. It runs the fetching cycles and returns the fetched
+    frames, their cycle lengths and the `other` draw of the first cycle
+    that found no frame; `run` adds the drain cycles and derives
+    everything else from these.
+
+    Admission is written out twice in the loop rather than called, which
+    saves a call per cycle: in order, every frame decided by the instant
+    is accepted while the FIFO has room, and the rest are passed over as
+    dropped with one bisection (the FIFO only drains at retrievals, so once
+    full it stays full until the next one).
     """
     n_frames = len(decision)
-    decision = decision + [_NEVER]   # sentinel: the admission loop needs no bounds check
-    fetch_c, fetch_u, infer_c, infer_u, disp_c, disp_u = (s.__next__ for s in streams)
+    decision.append(_NEVER)   # sentinel: the admission loops need no bounds check
     queue = deque()
+    room_after_fetch = queue_size - 1
     ptr = 0
     now = 0
-    infer_on = disp_on = False
     fetched = []
-    dequeue = []
-    display_end = []
     cyc_len = []
-    busy_f = busy_i = busy_d = 0
 
-    def admit(k, until):
-        """Admit, in order, every frame from `k` on decided at or before
-        `until`: accept while the queue has room, then pass over the rest
-        as dropped (the queue only drains at retrievals, so once full it
-        stays full here). Returns the next frame to decide."""
-        while len(queue) < queue_size and decision[k] <= until:
-            queue.append(k)
-            k += 1
-        if decision[k] > until:
-            return k
-        return bisect_right(decision, until, k)
-
-    while True:
+    for fetch, other, after in draws:
         release = now + theta_ns
         if decision[ptr] <= release:
-            ptr = admit(ptr, release)
-        if queue:
-            head = queue[0]
-        elif ptr < n_frames:
-            # Starved: the next frame to be decided is taken on arrival. With
-            # a queue it still passes through it: the admission below accepts it.
-            head = ptr
-            if not queue_size:
+            while len(queue) < queue_size and decision[ptr] <= release:
+                queue.append(ptr)
                 ptr += 1
-        elif infer_on or disp_on:
-            head = -1
+            ptr = bisect_right(decision, release, ptr)
+        if queue:
+            head = queue.popleft()
+        elif ptr < n_frames:
+            # Starved: the next frame to be decided is taken on arrival; with
+            # a FIFO it is accepted and retrieved at once.
+            head = ptr
+            ptr += 1
         else:
             break
-        if head >= 0:
-            deq = delivery[head]
-            if deq < release:
-                deq = release
-            # Decisions up to the retrieval instant still see the head in place.
-            if decision[ptr] <= deq:
-                ptr = admit(ptr, deq)
-            if queue_size:
-                queue.popleft()
-            fetched.append(head)
-            dequeue.append(deq)
+        deq = delivery[head]
+        if deq < release:
+            deq = release
+        # Frames decided up to the retrieval instant still find the head
+        # in its buffer: Q - 1 buffers are left for them.
+        if decision[ptr] <= deq:
+            while len(queue) < room_after_fetch and decision[ptr] <= deq:
+                queue.append(ptr)
+                ptr += 1
+            ptr = bisect_right(decision, deq, ptr)
+        fetched.append(head)
+        cycle = deq + fetch - now
+        if cycle < other:
+            cycle = other
+        cycle += after
+        cyc_len.append(cycle)
+        now += cycle
 
-        contended = not phased and (head >= 0) + infer_on + disp_on >= 2
-        longest = 0
-        if head >= 0:
-            stage = fetch_c() if contended else fetch_u()
-            busy_f += stage
-            longest = (deq + stage) - now
-        if infer_on:
-            stage = infer_c() if contended else infer_u()
-            busy_i += stage
-            if stage > longest:
-                longest = stage
-        if disp_on:
-            stage = disp_c() if contended else disp_u()
-            busy_d += stage
-            display_end.append(now + stage)
-            if stage > longest:
-                longest = stage
-        if phased:
-            # Inference of this cycle's frame runs alone after fetch and display.
-            if head >= 0:
-                stage = infer_u()
-                busy_i += stage
-                longest += stage
-            disp_on = head >= 0
-        else:
-            disp_on = infer_on
-            infer_on = head >= 0
-        cyc_len.append(longest)
-        now += longest
-
-    return fetched, dequeue, display_end, cyc_len, (busy_f, busy_i, busy_d), now
+    return fetched, cyc_len, other
 
 
 def run(cfg: SimConfig) -> SimResult:
@@ -341,31 +331,65 @@ def run(cfg: SimConfig) -> SimResult:
                                    (p.infer_delay_dist(False), p.infer_inflation),
                                    (p.disp_delay_dist(False), p.disp_inflation)):
         dists += (uncontended.convolve(inflation), uncontended)
-    streams = [_stream(d, np.random.default_rng(c)) for d, c in zip(dists, ss_stages.spawn(6))]
+    fetch_c, fetch_u, infer_c, infer_u, disp_c, disp_u = (
+        _chunks(d, np.random.default_rng(c)) for d, c in zip(dists, ss_stages.spawn(6)))
 
     variant = cfg.variant
     queue_size, phased = variant.queue_size, variant.phased
     theta_ns = int(round(variant.theta * _MS))
-    fetched, dequeue_ns, disp_ns, cyc_len, busy, span_ns = _run_cycles(
-        decision.tolist(), delivery.tolist(), queue_size, theta_ns, phased, streams)
+    # Each stage's draws by the cycle that reads them (see the module
+    # docstring); a stage that does not run in a cycle reads 0 there.
+    idle = np.zeros(2, dtype=np.int64)
+    if phased:
+        fetch, infer, disp = fetch_u, infer_u, _delayed(disp_u, idle[:1])
+    else:
+        fetch = _delayed(fetch_c, next(fetch_u)[:1])
+        infer = _delayed(infer_c, idle[:1])
+        disp = _delayed(disp_c, idle)
+    disp_read = []   # the display draws, kept for the display ends
+
+    def cycle_draws():
+        for f, i, d in zip(fetch, infer, disp):
+            disp_read.append(d)
+            if phased:
+                yield zip(f.tolist(), d.tolist(), i.tolist())
+            else:
+                yield zip(f.tolist(), np.maximum(i, d).tolist(), repeat(0))
+
+    fetched, cyc_len, last_other = _run_cycles(
+        decision.tolist(), delivery.tolist(), queue_size, theta_ns,
+        chain.from_iterable(cycle_draws()))
 
     fetched = np.asarray(fetched, dtype=np.int64)
     n_fetched = len(fetched)
     warnings: list[str] = []
     if n_fetched == 0:
         warnings.append("no frame was ever retrieved; run too short")
-    dequeue_ns = np.asarray(dequeue_ns, dtype=np.int64)
-    disp_ns = np.asarray(disp_ns, dtype=np.int64)
+    # Fetched frame k is displayed in cycle k + lag, the pipeline's depth
+    # behind the fetch. The first drain cycle read the draws of the first
+    # cycle that found no frame, except that a lone pipelined frame is
+    # inferred uncontended; the pipelined shape then displays the last
+    # frame alone.
+    lag = 1 if phased else 2
+    disp_ns = np.concatenate(disp_read)[lag:n_fetched + 1]
+    if n_fetched and phased:
+        cyc_len.append(last_other)
+    elif n_fetched:
+        last_disp = int(next(disp_u)[0])
+        cyc_len += (last_other if n_fetched > 1 else int(next(infer_u)[0]), last_disp)
+        disp_ns = np.append(disp_ns, last_disp)
     cyc_len = np.asarray(cyc_len, dtype=np.int64)
     # Every cycle starts where the previous one ends, and the fetching
-    # cycles come first: once the FIFO and the camera run dry they stay dry.
+    # cycles come first.
     cyc_start = np.cumsum(cyc_len) - cyc_len
-    b_ns = dequeue_ns - cyc_start[:n_fetched] - theta_ns
-    # A cycle has every slot occupied once the pipeline has filled (one
-    # fetch ahead for the phased shape, two for the pipelined one) and
+    fetch_start = cyc_start[:n_fetched]
+    dequeue_ns = np.maximum(delivery[fetched], fetch_start + theta_ns)
+    b_ns = dequeue_ns - fetch_start - theta_ns
+    disp_ns += cyc_start[lag:]
+    # A cycle has every slot occupied once the pipeline has filled and
     # while it still fetches.
     cyc_idx = np.arange(len(cyc_len))
-    cyc_steady = (cyc_idx >= (1 if phased else 2)) & (cyc_idx < n_fetched)
+    cyc_steady = (cyc_idx >= lag) & (cyc_idx < n_fetched)
 
     # With a queue, the accepted frames are exactly the fetched ones, in
     # order. Merging accepts and retrievals by instant, an accept first at
@@ -434,11 +458,6 @@ def run(cfg: SimConfig) -> SimResult:
     cam_delay[hit] = (delivery[object_frame[hit]] - obj_ns[hit]) / _MS
     missed = int(len(obj_ns) - hit.sum())
 
-    per_stage_busy = {
-        stage: t / span_ns if span_ns else 0.0
-        for stage, t in zip(("fetch", "infer", "display"), busy)
-    }
-
     return SimResult(
         variant_name=cfg.variant.name,
         seed=cfg.seed,
@@ -467,7 +486,6 @@ def run(cfg: SimConfig) -> SimResult:
         objects_missed=missed,
         drops=n_frames - n_fetched,
         frames_captured=n_frames,
-        per_stage_busy=per_stage_busy,
         warnings=warnings,
         trace=trace,
     )

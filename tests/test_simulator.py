@@ -29,7 +29,7 @@ from pipedelay.detector import (
 )
 from pipedelay.dist import DelayDist, ZERO_DELAY
 from pipedelay.scenario import load_scenario
-from pipedelay.sim import _FIRST_CHUNK, _MS, SimConfig, SimResult, _stream, run
+from pipedelay.sim import _FIRST_CHUNK, _MS, SimConfig, SimResult, _chunks, _delayed, run
 from test_acceptance import _random_scenario
 
 MICRO_CAM = CameraConfig(frame_rate=100.0, width=700, height=1, bits_per_pixel=16)
@@ -248,9 +248,20 @@ class TestDrawSchedule:
     def test_stream_is_one_draw_of_every_value(self, seed, n, points):
         total = sum(w for _, w in points)
         dist = DelayDist.from_points((v / 7, w / total) for v, w in points)
-        got = list(islice(_stream(dist, np.random.default_rng(seed)), n))
+        # The first 8 chunks hold 12,224 values.
+        got = np.concatenate(list(islice(_chunks(dist, np.random.default_rng(seed)), 8)))
         want = np.rint(dist.sample_array(np.random.default_rng(seed), n) * _MS)
-        assert got == want.astype(np.int64).tolist()
+        assert got[:n].tolist() == want.astype(np.int64).tolist()
+
+    @pytest.mark.parametrize("head", [[], [5], [0, 7]])
+    def test_delayed_stream_puts_head_in_front(self, head):
+        dist = DelayDist.from_points([(1.0, 0.25), (2.5, 0.75)])
+        plain = list(islice(_chunks(dist, np.random.default_rng(3)), 4))
+        delayed = list(islice(_delayed(_chunks(dist, np.random.default_rng(3)),
+                                       np.asarray(head, dtype=np.int64)), 4))
+        assert [len(c) for c in delayed] == [len(c) for c in plain]
+        n = sum(len(c) for c in plain)
+        assert np.concatenate(delayed).tolist() == (head + np.concatenate(plain).tolist())[:n]
 
     @pytest.mark.parametrize("duration_ms", [2000.0, 30000.0])
     @pytest.mark.parametrize("variant", load_scenario("default").variants,
@@ -465,143 +476,145 @@ _DIGEST_VARIANTS = {
 # Digests of the runs (trace off/on x the config's capture jitters) of each
 # config and variant. They pin every SimResult field and trace event bit for
 # bit, so a simulator refactor that is meant to keep results must keep them;
-# a change that moves results on purpose records new ones and says why.
+# a change that moves results on purpose records new ones and says why. All
+# were recorded again at commit 5315850 without the field per_stage_busy,
+# deleted after it; the other fields were unchanged since each was recorded.
 RECORDED_DIGESTS = {
     "micro/vanilla4": [
-        "f78f2c7ff6fb038b", "e0244c2ebcc7c85b",
-        "0fbc2c7aab1d2071", "e813a1cfc1e16a67",
+        "286cf78db7ed124b", "ebaa7aacdde88783",
+        "b3422bc4a3e5dd8f", "7535204f18656af1",
     ],
     "micro/vanilla1": [
-        "ec905fdaf217b777", "c130ba1848778b97",
-        "27dd1808d136b1b6", "01bca1926e4e198f",
+        "19a170d87223815a", "f23a15051f736d6c",
+        "a6228f0b1f20590b", "c4583ed02d9b07a2",
     ],
     "micro/vanilla0": [
-        "7120ef89aa4d75a1", "12f6f4337367e9e9",
-        "6941ba56e3233bcf", "593f8894511f6640",
+        "0e407af184d61c66", "5e82f72ab4460f7f",
+        "e7c477d6f41039cb", "46b3f03b617a0f23",
     ],
     "micro/on_demand": [
-        "93babfbc08e89751", "6b7a58bcc4aada80",
-        "b2cd11dc9e273b11", "9e7f0d1b0e571ba0",
+        "3c4b2a9533f37eef", "a6491785bf8e8713",
+        "17ba2c3f12e7035b", "0b145e6eb55e2acf",
     ],
     "micro/zero_slack": [
-        "32e3ef57bdcecf87", "3a2de490177f35d3",
-        "859f110a3c2ab385", "52e8a7ac0c4af7be",
+        "ee9945e1b8ca899e", "c0b60dfd44c0fa3d",
+        "8684ca95373b77bb", "76d24e3781160e62",
     ],
     "micro/contention_free": [
-        "0de0827b6d0962f8", "bc91537ce0f554c1",
-        "a7b83d8cd4a14e34", "8fcea4336ed5be1f",
+        "24ffff6b1d649797", "3b092f98526cbda2",
+        "22f01edbcfdb6a09", "4e914038882dd6e1",
     ],
     "heavy/vanilla4": [
-        "63e1ee406f326657", "6d65377c05cb93b4",
-        "2fa2cc62e2498920", "2fcc128d17049a03",
+        "ef1a44e85f65ed5c", "f8920cf0b2370f23",
+        "85312aafd7076f74", "57be810f39473599",
     ],
     "heavy/vanilla1": [
-        "0b3d351b529f756f", "5efb40001cfebb7c",
-        "0c66390b6dd52903", "83194433faa27b87",
+        "db6f92ec688f8de8", "c7b33a478392d546",
+        "7c09c15b8b1b1ddb", "28fbffba42939b4c",
     ],
     "heavy/vanilla0": [
-        "8d44f70b8ca6a5fd", "2610cc8d285dfa4a",
-        "f64a337f63689a3d", "8c333b6fb4f4871a",
+        "2c29578f2e78b0ae", "78a5253ff96979fe",
+        "341a4c9b327acc54", "299361d7f67fa827",
     ],
     "heavy/on_demand": [
-        "5db58ba26f129040", "c8f86b157885ce7b",
-        "dd1279b10de950c3", "d9e2cdfbe48488d3",
+        "dcba6930f0d74f82", "7a4441f87efcb072",
+        "9d08492e5bc7771b", "ec12460d8b97dd54",
     ],
     "heavy/zero_slack": [
-        "3cb6083c197a60ef", "995a5815b829b98a",
-        "d776771dab2cf42f", "c3d5fecf15796826",
+        "78e59c549dbcca2c", "622bed62af99def2",
+        "b014181698aa3689", "3d014f4c8ecf5fff",
     ],
     "heavy/contention_free": [
-        "f7574f1477f47ba6", "3d8114376ceadbe8",
-        "05ba4dececf4cd1e", "e3493fe34ed555cc",
+        "28cd32994086c75d", "63ae8ab46ea68128",
+        "9f4aeaecbbb869b3", "5f5d8076785ff721",
     ],
     "case1/vanilla4": [
-        "26d49ff3b07fe781", "3133bdebe973542b",
-        "17b2ad2ddfc0960a", "83718e9c0699dbd1",
+        "406a05c27585ddb8", "7d8dae28c3c657ad",
+        "f80493b9368f02c4", "4212f87b84a9eb1f",
     ],
     "case1/vanilla1": [
-        "762477272b6bfa30", "67e4c8417d0c9073",
-        "a6e519d87c6053ff", "9a56cfa118ac9722",
+        "afc7975baedcde8f", "f9d1b974d0f3adfe",
+        "b1c7673a95d70f3a", "f90c62b545ee658b",
     ],
     "case1/vanilla0": [
-        "b027892f5ea56a36", "02d7fb80c4063adc",
-        "64e5ac3d510f3c2b", "15dc60ef94e4c9cd",
+        "9fe41a25330a4a89", "085774702f96df73",
+        "e75812441855cd07", "473f39a25920be4e",
     ],
     "case1/on_demand": [
-        "e73a31a95a44ecff", "43dd41a89e3b487b",
-        "4471172d32df7a68", "dc33f8e81f47785e",
+        "7bddbd6bab24f92d", "e961588d3c0c618f",
+        "cb9a01a93fbc128c", "2fc42b632e20e4d4",
     ],
     "case1/zero_slack": [
-        "bda3702f0150dee9", "0df5dcc27ce11732",
-        "b00a8b8edd9d9abb", "94e4db96a82474dd",
+        "a634e3ecbde3ecd4", "0ffc074127eba1ee",
+        "7977a3bd0fb81962", "ee69490260414c29",
     ],
     "case1/contention_free": [
-        "9e18ec6a1670b636", "8a2ae353301691bf",
-        "0f7d629473628285", "52bc533f9f9695ec",
+        "0dfd1ad6973448f7", "69d316bb9efca1e1",
+        "dc79f838b2ed90fd", "ef05c98b5cfb1e64",
     ],
     "case2/vanilla4": [
-        "35e4c6e9a55beca7", "2922a67688b7817f",
-        "60bc6adf11025944", "7e667579b70956bc",
+        "353946f9cf62d8e8", "89cb8357326f8026",
+        "ceb62a6349e775d3", "8af4df34ff8ac1a1",
     ],
     "case2/vanilla1": [
-        "7534a42913c7c6f7", "e4b59b29f53f79eb",
-        "789869e8c7202dcf", "a668115831fc69b0",
+        "9b806641bbd6814e", "69bf6ac56b90de6a",
+        "422576c00e4b6948", "2c5933f057743194",
     ],
     "case2/vanilla0": [
-        "fb8ac37b4ece2820", "91aa2e4527c9ad68",
-        "2424375c8f9d8436", "74fcb3efe7526c6b",
+        "c40ebe2095d2bef9", "35c772602030da1c",
+        "306517d36070af4d", "6e094aa6c028c7e0",
     ],
     "case2/on_demand": [
-        "8b6389c7842bca32", "1ebc70f458e7f612",
-        "cad7f54f9c7b8778", "e9950a24649ee0af",
+        "1480d87cb869dd59", "718e4d2824a44000",
+        "c9802ad12b0f66ca", "915b2a8ea0bcad57",
     ],
     "case2/zero_slack": [
-        "3a7db4978bedcadc", "7350fcfdd07f2de8",
-        "429e0ad6d678eb5d", "cfe23a554a9691cd",
+        "e26ef9f5ce594ec7", "3f3c1eb037067264",
+        "fb6fd2c75c4cb335", "0995ccc577af18ee",
     ],
     "case2/contention_free": [
-        "2b37d27b5a654916", "72d37d2064008130",
-        "34bfff12d800df55", "a3a88facf30e0f22",
+        "9d7bfb88531d303d", "8e9de0b6b6fa8a32",
+        "a1633500b202b4d9", "0cb017035aaee7a5",
     ],
     "case3/vanilla4": [
-        "d7b56c5a5f6229c9", "b9553df9670753ed",
-        "430c363fc17f4e10", "0e6de7e0a787ceb7",
+        "249cda4d354bb13b", "38416e9f47cf3742",
+        "05216348d0a9c67c", "31eeb22a4acbedf6",
     ],
     "case3/vanilla1": [
-        "9f0a0776abc487b9", "61d7ed7a9f04315a",
-        "406870b7a72dbdf1", "d51194a551efd6fe",
+        "925e5a0a6837a652", "3face93ec8ded3ae",
+        "e6acb1f0335902bc", "d8bae98ce279e2c1",
     ],
     "case3/vanilla0": [
-        "b120ea73507d425f", "d7f708ae5880361d",
-        "0f10eb0851cb5be9", "daef3f6f145bafdb",
+        "d4506bfde6300977", "a0722f9324de6c80",
+        "2d2e91a36f0c758f", "792e119b0a82556c",
     ],
     "case3/on_demand": [
-        "4708f8e5b63a5775", "e08959c09cb7bc9f",
-        "605bcf42efca8894", "8fd90cfed1e03a5a",
+        "d3d19fe1dcddf51b", "64f8b527813d581c",
+        "03f72eb0bd25ac4b", "f94cfaedaa3c9137",
     ],
     "case3/zero_slack": [
-        "da3da9d9bcd32b4d", "f5e492b8d3ffab6f",
-        "4bc605ac103d8943", "b1c21392a3508d6b",
+        "54af7813389fbc5d", "96b120f70a106e9f",
+        "aeac492356a84424", "763cc798314cc80c",
     ],
     "case3/contention_free": [
-        "0e7ef0593871e9a9", "3042f0df48174606",
-        "4cfefd0a2a441a5f", "96e6bd0f6e0eae8b",
+        "1332de9d4dcf6347", "08b267d0e4f2fd6e",
+        "c4b09dddae640b85", "9337d0565625c19c",
     ],
     # Edge cases of the bookkeeping derived after the cycle loop: shared
-    # decision and retrieval instants, no fetch, a single fetch. Recorded at
-    # commit 48cd535; each is the untraced and the traced run.
-    "shared/vanilla1": ["a33f3b4a9ea0b9de", "bfc0dc10e5f918b7"],
-    "shared/vanilla4": ["e8fc4471b75826ff", "ea765951797d529d"],
-    "shared/vanilla0": ["d55e2337ce88ac0d", "d6bb0a44e61c60fd"],
-    "shared/on_demand": ["8aebcee1e7b450a6", "e617224833d9f392"],
-    "zero/vanilla4": ["63f12da9d6369301", "7699c8d436a39159"],
-    "zero/vanilla1": ["9d2ffa56b109df75", "0da2ffc96ef75e50"],
-    "zero/on_demand": ["10d54f7d6997bcb7", "474e80bb63cd91a1"],
-    "zero/contention_free": ["c6e01dbab06e70db", "5d8121949d49599a"],
-    "idle/zero_slack": ["0a9bd3dd1dfb7a6f", "395456f1e8be3577"],
-    "single/vanilla1": ["994b785f7c855f64", "2848eeb8cc7e8c5d"],
-    "single/on_demand": ["67a0c3b0f45a1149", "aad089fe0677a67c"],
-    "single/contention_free": ["f470be9fb3d727b6", "87ca8d01a131ec79"],
+    # decision and retrieval instants, no fetch, a single fetch. First
+    # recorded at commit 48cd535; each is the untraced and the traced run.
+    "shared/vanilla1": ["d7596d038350983d", "1aa888d8c37e1b8b"],
+    "shared/vanilla4": ["0b6cdd1bc44c745c", "59949b3828e35521"],
+    "shared/vanilla0": ["5394e166baf0ef4b", "b11022a3b3a05262"],
+    "shared/on_demand": ["e30a3f7e69616e03", "ee588b8dc530a457"],
+    "zero/vanilla4": ["fbbe0391af735f1b", "8342a4bd11ad3f32"],
+    "zero/vanilla1": ["962f78f26a645582", "12caaf7ffe224e1d"],
+    "zero/on_demand": ["0f0bcdf2a84856f6", "9ec0430e49354e48"],
+    "zero/contention_free": ["f98c2fb66ea0551e", "c34a871f2dcb884a"],
+    "idle/zero_slack": ["f7cf7d738de4c37d", "5b9238156561ce30"],
+    "single/vanilla1": ["2598c012a7a966a4", "a91557e7c744a5fe"],
+    "single/on_demand": ["da961cfa49fbd439", "a77de3d96c9ce341"],
+    "single/contention_free": ["53b573129c46cfb4", "6a33c731fe0b5448"],
 }
 
 
@@ -617,6 +630,134 @@ class TestBitIdentity:
             for trace in (False, True) for jitter in jitters
         ]
         assert parts == RECORDED_DIGESTS[key]
+
+
+# Every stage differs contended and uncontended and has two points, so a run
+# that read a draw from the wrong stream, or the wrong draw, shows in its
+# digest. The cycles stay shorter than the 10 ms capture interval, so every
+# variant fetches every frame.
+SHORT_PROFILE = StageProfile(
+    fetch_exec=DelayDist.from_points([(1.0, 0.5), (2.0, 0.5)]),
+    infer_cpu=DelayDist.from_points([(3.0, 0.5), (4.0, 0.5)]),
+    infer_gpu=ZERO_DELAY,
+    disp_exec=DelayDist.from_points([(0.5, 0.5), (1.5, 0.5)]),
+    fetch_inflation=DelayDist.constant(0.25),
+    infer_inflation=DelayDist.constant(1.0),
+    disp_inflation=DelayDist.constant(0.5),
+)
+
+
+def _pinned_gate_runs():
+    rng = np.random.default_rng(123)
+    for i in range(40):
+        cam, usb, profile, variant = _random_scenario(rng, i)
+        yield f"{i}.{variant.name}", SimConfig(
+            camera=cam, usb=usb, profile=profile, variant=variant,
+            duration_ms=1e4 * cam.cycle_ms, seed=int(rng.integers(2 ** 32)), n_objects=50)
+
+
+def _pinned_preset_runs():
+    for name in ("default", "case1", "case2", "case3"):
+        s = load_scenario(name)
+        for v in s.variants:
+            yield f"{name}.{v.name}", dataclasses.replace(
+                s.sim_config(v, trace=True), duration_ms=60000.0)
+
+
+def _pinned_short_runs():
+    for v in (Vanilla(1), OnDemand(), ContentionFree()):
+        for frames in (1, 2, 3):
+            yield f"{v.name}.{frames}", micro_config(
+                profile=SHORT_PROFILE, variant=v, duration_ms=10.0 * frames,
+                object_times_ms=(0.0,), trace=True)
+
+
+# Digests of every SimResult field, recorded at commit 5315850 (before the
+# stage draws left the cycle loop) without the since deleted per_stage_busy.
+PINNED_GATE = {
+    "0.vanilla": "764a28a9d576c82c",
+    "1.on_demand": "349f3d485abd7dce",
+    "2.zero_slack": "663a6955c59b447c",
+    "3.contention_free": "3b602e1e75de4a71",
+    "4.vanilla": "97883da8855f103f",
+    "5.on_demand": "9e1956972f465c2e",
+    "6.zero_slack": "7b9feda854294ac5",
+    "7.contention_free": "906ac2e3517917c4",
+    "8.vanilla": "5bf7572be3ae3adc",
+    "9.on_demand": "792208c7232db362",
+    "10.zero_slack": "8906fb0d4ade2070",
+    "11.contention_free": "ef61488c2b9c2287",
+    "12.vanilla": "c8ce8992e9efc7ff",
+    "13.on_demand": "172c5d7f70f77306",
+    "14.zero_slack": "b3d3e1329f9d846e",
+    "15.contention_free": "3e809aedf3c9d530",
+    "16.vanilla": "9cb4098ef0f0ab7e",
+    "17.on_demand": "dc7d9be5aa6c7dcb",
+    "18.zero_slack": "8cd9b2df88afd2de",
+    "19.contention_free": "9e4c4f77d7548c95",
+    "20.vanilla": "52ebf815eb1f5698",
+    "21.on_demand": "8d151cf4e78aae69",
+    "22.zero_slack": "d112c10612580824",
+    "23.contention_free": "78bb860ad3d31d81",
+    "24.vanilla": "d4a84821a05370fb",
+    "25.on_demand": "9621f6e154eff32d",
+    "26.zero_slack": "0589c9ef5516a4b8",
+    "27.contention_free": "14f25ca7b5ebddcd",
+    "28.vanilla": "28ca0ae1240c411d",
+    "29.on_demand": "68ac58ca673307c0",
+    "30.zero_slack": "867e3ee45f93d1c0",
+    "31.contention_free": "d3df0fbfe4d2ffe8",
+    "32.vanilla": "31ca3b4ab3b14503",
+    "33.on_demand": "5475a67051deae4c",
+    "34.zero_slack": "5d2a12f032b03df8",
+    "35.contention_free": "b619018638cd9418",
+    "36.vanilla": "57aabce5b400bf61",
+    "37.on_demand": "285959f9288da444",
+    "38.zero_slack": "8c8c08089337b6ce",
+    "39.contention_free": "5070b92deb23f783",
+}
+PINNED_PRESETS = {
+    "default.vanilla": "5e3c9cfacf544575",
+    "default.on_demand": "dedbe630a099f23b",
+    "default.zero_slack": "900e8ebb9d7b5c9b",
+    "default.contention_free": "5a660e3f23a6127e",
+    "case1.vanilla": "abc8bec58025b455",
+    "case2.vanilla": "5e3c9cfacf544575",
+    "case3.vanilla": "42a4928340cf54d9",
+}
+PINNED_SHORT = {
+    "vanilla.1": "e66fe8193fe6d4ca",
+    "vanilla.2": "7a142717d75dc6b2",
+    "vanilla.3": "449774f8895f8cdd",
+    "on_demand.1": "d40319ae92c6439e",
+    "on_demand.2": "c1dff786c75a4d68",
+    "on_demand.3": "e27ce4a6eb3ffee0",
+    "contention_free.1": "08de1076e0438243",
+    "contention_free.2": "d4371cd107ceeb0a",
+    "contention_free.3": "b516af74f2bed877",
+}
+
+
+class TestPinnedRuns:
+    """Runs pinned across the move of the stage draws out of the cycle
+    loop: the gate's first scenarios, every preset variant traced, and the
+    drain cycles after one, two and three fetched frames."""
+
+    def test_gate_runs(self):
+        got = {key: result_digest(run(cfg)) for key, cfg in _pinned_gate_runs()}
+        assert got == PINNED_GATE
+
+    def test_preset_runs(self):
+        got = {key: result_digest(run(cfg)) for key, cfg in _pinned_preset_runs()}
+        assert got == PINNED_PRESETS
+
+    def test_short_runs(self):
+        got = {}
+        for key, cfg in _pinned_short_runs():
+            r = run(cfg)
+            assert r.frames_fetched == r.frames_captured == int(key[-1])
+            got[key] = result_digest(r)
+        assert got == PINNED_SHORT
 
 
 # -- bookkeeping against the event trace -----------------------------------------
