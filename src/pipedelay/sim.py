@@ -50,13 +50,61 @@ So `run` turns each chunk of the streams into the draws of the cycles
 that read it (fetch, slowest other stage, phased inference) with numpy
 before the loop, and adds the drain cycles after it.
 
-The loop carries the recurrence state only: the cycle start, the next
-undecided frame and the FIFO. Frames dropped at a full FIFO, or skipped
-by a queueless variant, are passed over by one bisection of the decision
-instants per admission. The loop records the fetched frames and the cycle
-lengths; retrieval instants, display ends, drops, queue occupancy,
-admission depths, cycle starts, steady-cycle masks, fetch blocking and the
-trace events are derived from these after the loop.
+The loop carries the recurrence state only: the cycle start t, the next
+undecided frame and the FIFO. With h_n the frame cycle n fetches (its
+head) and f_n, o_n, a_n its fetch, other and after draws, the cycle
+length max(deq + f - t, o) + a with deq = max(delivery[h], t + theta)
+gives
+
+    t_{n+1} = max(t_n + alpha_n, beta_n),
+    alpha_n = max(theta + f_n, o_n) + a_n,  beta_n = delivery[h_n] + f_n + a_n.
+
+Given the heads, a block of cycles is solved exactly in max-plus algebra
+(Baccelli et al., Synchronization and Linearity, 1992): with S_n the sum
+of alpha_0 .. alpha_{n-1}, t_n = S_n + max(t_0, max over j < n of
+beta_j - S_{j+1}), one cumsum and one maximum.accumulate. The arithmetic
+is int64 ns throughout, so the cycle lengths are the loop's, bit for bit.
+The heads depend on t, so the block path guesses them, solves, checks the
+guess against the decision instants and keeps the longest verified
+prefix; the cycle that fails, and the run's end, go through the per-cycle
+loop. There are two guesses:
+
+- The fetch never binds (detector-limited runs), so t = t_0 + S. With
+  Q = 0 a cycle takes the first frame decided after its release, and the
+  check is beta_n <= t_n + alpha_n. From a saturated FIFO (Q - 1 frames
+  held after each retrieval) it takes the queued frames, then the first
+  frame decided after each previous release; the checks are that each
+  (release_{n-1}, release_n] holds a decision, so the FIFO refills, and
+  that delivery[h_n] <= release_n, so the fetch never waits and every
+  other frame decided by the release is dropped there.
+- No frame is dropped or skipped (arrival-limited and frame-locked runs):
+  the queued frames, then consecutive ones, with t the max-plus prefix.
+  With a FIFO, the frames decided by each retrieval instant must fit in
+  it: searchsorted(decision, deq_n, "right") <= ptr + Q - len(queue) + n.
+  Without one, no frame may be decided by a release before the cycle's
+  head is: searchsorted(decision, release_n, "right") <= h_n.
+
+A predictor picks the path. After each per-cycle stretch it reads the
+stretch's second half: consecutive heads point to the no-drop guess, and
+cycles that all lasted alpha (their sum is the alpha sum, as no cycle is
+shorter) with the FIFO as the saturated guess needs it point to the
+fetch-never-binds guess; otherwise the next stretch doubles, up to 4096
+cycles. A speculation window starts at 64 cycles and doubles while its
+guess verifies in full, which also sets the stretch back to 64; a window
+that fails within 32 cycles doubles the stretch. The mixed case3 run and
+contention_free, whose every fetch waits on the frame it skipped to, stay
+per-cycle almost entirely. Like the draw schedule, the path never changes
+a result: every cycle a block keeps is one the loop would have run with
+the same head and length.
+
+The per-cycle loop passes over frames dropped at a full FIFO, or skipped
+by a queueless variant, with one bisection of the decision instants per
+admission. It reads the instants from lists filled only as far as a
+stretch can reach, so a run solved in blocks converts few of them. Both
+paths record the fetched frames and the cycle lengths as int64 pieces;
+retrieval instants, display ends, drops, queue occupancy, admission
+depths, cycle starts, steady-cycle masks, fetch blocking and the trace
+events are derived from these after the loop.
 
 Stage delays come from six seeded draw streams, one per stage, contended
 and uncontended. Each draws in chunks of 64 values at first, doubling up
@@ -67,7 +115,7 @@ stream yields do not depend on the chunk sizes.
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from itertools import repeat
 import math
 
 import numpy as np
@@ -247,42 +295,86 @@ def _camera_timeline(cfg: SimConfig, rng: np.random.Generator):
     return capture, decision, delivery
 
 
-def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
-    """The detector cycle loop of every variant (see the module docstring).
+def _solve_block(never_binds, decision, delivery, queue_size, theta_ns,
+                 now, ptr, queue, fetch, other, after):
+    """Solve the next cycles as one block under one guess of their heads
+    (see the module docstring) and keep the prefix the checks verify.
 
-    `decision` and `delivery` are per-frame instants in ns; `queue_size`
-    is the FIFO size Q (0 for the queueless variants) and `theta_ns` the
-    fetch release delay. `draws` yields, for cycle 0, 1, ..., the cycle's
-    fetch time, its slowest other stage running alongside the fetch, and
-    the time that runs after both (the phased inference, else 0). The loop
-    carries only the recurrence state: the cycle start, the next undecided
-    frame and the FIFO. It runs the fetching cycles and returns the fetched
-    frames, their cycle lengths and the `other` draw of the first cycle
-    that found no frame; `run` adds the drain cycles and derives
-    everything else from these.
+    `never_binds` picks the guess: the fetch never binds (with a FIFO, one
+    that holds Q - 1 frames), else no frame is dropped or skipped.
+    `decision` and `delivery` end with a `_NEVER` sentinel; `now`, `ptr`
+    and `queue` are the loop state before the block, and `fetch`, `other`
+    and `after` are its cycles' draws. Returns the verified prefix's fetched
+    frames and cycle lengths as int64 arrays and the loop state after it.
+    That state may differ from the loop's only by frames decided by the
+    next release, between the two `ptr`s: the next admission passes over or
+    admits them just as the loop did.
+    """
+    held = len(queue)
+    w = len(fetch) if never_binds else min(len(fetch), len(delivery) - 1 - ptr + held)
+    fetch, after = fetch[:w], after[:w]
+    start = np.zeros(w + 1, dtype=np.int64)
+    np.cumsum(np.maximum(fetch + theta_ns, other[:w]) + after, out=start[1:])
+    if never_binds:
+        # The fetch never binds, so t = t0 + cumsum(alpha). A cycle takes the
+        # first frame decided after its release (Q = 0) or, from a saturated
+        # FIFO, the frame queued first after the release before it.
+        start += now
+        release = start[:w] + theta_ns
+        taken = np.searchsorted(decision, start + theta_ns, "right")
+        if queue_size:
+            taken = np.concatenate(([ptr], taken[:w]))
+        line = np.concatenate((np.fromiter(queue, np.int64, held), taken))
+        heads = line[:w]
+        if queue_size:
+            ok = (decision[taken[:w]] <= release) & (delivery[heads] <= release)
+        else:
+            ok = delivery[heads] + fetch + after <= start[1:]
+    else:
+        # No frame is dropped or skipped: the queued frames, then consecutive
+        # ones. t is the max-plus prefix of alpha and beta.
+        line = np.concatenate((np.fromiter(queue, np.int64, held),
+                               ptr + np.arange(max(w - held, 0) + 1)))
+        heads = line[:w]
+        lift = np.empty(w + 1, dtype=np.int64)
+        lift[0] = now
+        lift[1:] = delivery[heads] + fetch + after - start[1:]
+        start += np.maximum.accumulate(lift)
+        release = start[:w] + theta_ns
+        instant = np.maximum(delivery[heads], release) if queue_size else release
+        ok = np.searchsorted(decision, instant, "right") <= ptr - held + queue_size + np.arange(w)
+    p = int(np.append(ok, False).argmin())
+    k = p + held if never_binds else max(p, held)
+    return heads[:p], np.diff(start[:p + 1]), int(start[p]), int(line[k]), deque(line[p:k].tolist())
 
-    Admission is written out twice in the loop rather than called, which
-    saves a call per cycle: in order, every frame decided by the instant
-    is accepted while the FIFO has room, and the rest are passed over as
+
+def _cycles(dec, dlv, n_frames, queue_size, theta_ns, now, ptr, queue, fetch, other, after):
+    """Run cycles one by one from the loop state `now`, `ptr` and `queue`
+    (changed in place), with the per-cycle `fetch`, `other` and `after`
+    lists. `dec` and `dlv` list the frames' decision and delivery instants
+    as far as they are filled, `dec` then with a `_NEVER` sentinel; reading
+    past the filled frames raises IndexError.
+
+    Returns the fetched frames and cycle lengths as lists, `now` and `ptr`
+    after them, and the `other` draw of the first cycle that found no frame
+    (None while frames are left).
+
+    Admission is written out twice rather than called, which saves a call
+    per cycle: in order, every frame decided by the instant is accepted
+    while the FIFO has room, and once it is full the rest are passed over as
     dropped with one bisection (the FIFO only drains at retrievals, so once
     full it stays full until the next one).
     """
-    n_frames = len(decision)
-    decision.append(_NEVER)   # sentinel: the admission loops need no bounds check
-    queue = deque()
     room_after_fetch = queue_size - 1
-    ptr = 0
-    now = 0
-    fetched = []
-    cyc_len = []
-
-    for fetch, other, after in draws:
+    heads, lens = [], []
+    for fetch_t, other_t, after_t in zip(fetch, other, after):
         release = now + theta_ns
-        if decision[ptr] <= release:
-            while len(queue) < queue_size and decision[ptr] <= release:
-                queue.append(ptr)
-                ptr += 1
-            ptr = bisect_right(decision, release, ptr)
+        while dec[ptr] <= release:
+            if len(queue) == queue_size:
+                ptr = bisect_right(dec, release, ptr)
+                break
+            queue.append(ptr)
+            ptr += 1
         if queue:
             head = queue.popleft()
         elif ptr < n_frames:
@@ -291,48 +383,152 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
             head = ptr
             ptr += 1
         else:
-            break
-        deq = delivery[head]
+            return heads, lens, now, ptr, other_t
+        deq = dlv[head]
         if deq < release:
             deq = release
-        # Frames decided up to the retrieval instant still find the head
-        # in its buffer: Q - 1 buffers are left for them.
-        if decision[ptr] <= deq:
-            while len(queue) < room_after_fetch and decision[ptr] <= deq:
-                queue.append(ptr)
-                ptr += 1
-            ptr = bisect_right(decision, deq, ptr)
-        fetched.append(head)
-        cycle = deq + fetch - now
-        if cycle < other:
-            cycle = other
-        cycle += after
-        cyc_len.append(cycle)
+        # Frames decided up to the retrieval instant still find the head in
+        # its buffer: Q - 1 buffers are left for them.
+        while dec[ptr] <= deq:
+            if len(queue) >= room_after_fetch:
+                ptr = bisect_right(dec, deq, ptr)
+                break
+            queue.append(ptr)
+            ptr += 1
+        heads.append(head)
+        cycle = deq + fetch_t - now
+        if cycle < other_t:
+            cycle = other_t
+        cycle += after_t
+        lens.append(cycle)
         now += cycle
+    return heads, lens, now, ptr, None
 
-    return fetched, cyc_len, other
+
+def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
+    """The detector cycle loop of every variant (see the module docstring).
+
+    `decision` and `delivery` are per-frame instants in ns; `queue_size`
+    is the FIFO size Q (0 for the queueless variants) and `theta_ns` the
+    fetch release delay. `draws` yields, for cycles 0, 1, ... in chunks, the
+    arrays of each cycle's fetch time, its slowest other stage running
+    alongside the fetch, and the time that runs after both (the phased
+    inference, else 0). It runs the fetching cycles and returns the fetched
+    frames, their cycle lengths and the `other` draw of the first cycle
+    that found no frame; `run` adds the drain cycles and derives everything
+    else from these.
+
+    The cycles run in per-cycle stretches (`_cycles`) and verified blocks
+    (`_solve_block`): after each stretch the predictor tries the no-drop
+    guess if its second half fetched consecutive frames, else the
+    fetch-never-binds guess if every cycle of that half lasted alpha with
+    the FIFO saturated, else the next stretch doubles. A block keeps only
+    the cycles its checks verify, so the result is the per-cycle loop's.
+    """
+    n_frames = len(decision)
+    sentinelled = None   # decision and delivery with `_NEVER` appended, for the blocks
+    # The per-cycle stretches read the instants from lists. While blocks
+    # solve the run, these hold only the frames a stretch can reach (frames
+    # passed over by a block stay None); once a stretch has doubled, all.
+    dec, dlv = [], []
+    reach = 16   # frames per cycle of a stretch filled, doubled when short
+    queue = deque()
+    ptr = now = 0
+    heads, lens = [], []
+    stretch = window = _FIRST_CHUNK
+    guess = None
+
+    for fetch, other, after in draws:
+        i = 0
+        while i < len(fetch):
+            if guess is not None:
+                j = min(len(fetch), i + window)
+                if sentinelled is None:
+                    sentinelled = np.append(decision, _NEVER), np.append(delivery, _NEVER)
+                h, c, now, ptr, queue = _solve_block(
+                    guess, *sentinelled, queue_size, theta_ns, now, ptr, queue,
+                    fetch[i:j], other[i:j], after[i:j])
+                heads.append(h)
+                lens.append(c)
+                i += len(c)
+                if i == j:
+                    window, stretch = min(2 * window, _CHUNK), _FIRST_CHUNK
+                    continue
+                if len(c) < _FIRST_CHUNK // 2:
+                    stretch = min(2 * stretch, _CHUNK)
+                guess, window = None, _FIRST_CHUNK
+            j = min(len(fetch), i + stretch)
+            draws_t = fetch[i:j].tolist(), other[i:j].tolist(), after[i:j].tolist()
+            while True:
+                top = n_frames if stretch > _FIRST_CHUNK else min(n_frames, ptr + reach * (j - i))
+                if top > len(dlv):
+                    low = max(len(dlv), queue[0] if queue else ptr)
+                    if top == n_frames and 5 * low < n_frames:
+                        # Converting the few frames below `low` again costs
+                        # less than copying the rest into the lists.
+                        dec, dlv = decision.tolist(), delivery.tolist()
+                    else:
+                        for filled, source in ((dec, decision), (dlv, delivery)):
+                            filled += [None] * (low - len(filled))
+                            filled += source[low:top].tolist()
+                    if top == n_frames:
+                        dec.append(_NEVER)
+                stepped = deque(queue)
+                try:
+                    h, c, now_t, ptr_t, last = _cycles(dec, dlv, n_frames, queue_size, theta_ns,
+                                                       now, ptr, stepped, *draws_t)
+                    if ptr_t < len(dec):   # else a bisection may have stopped short
+                        break
+                except IndexError:
+                    if len(dlv) == n_frames:
+                        raise
+                reach *= 2
+            now, ptr, queue = now_t, ptr_t, stepped
+            heads.append(np.array(h, dtype=np.int64))
+            lens.append(np.array(c, dtype=np.int64))
+            if last is not None:
+                return np.concatenate(heads), np.concatenate(lens), last
+            # The predictor reads the second half of the stretch, past a
+            # start-up or a change of regime early in it.
+            m = (j - i) // 2
+            if h[-1] - h[m] == j - i - 1 - m:
+                guess = False
+            elif (len(queue) == max(queue_size - 1, 0) and lens[-1][m:].sum()
+                  == (np.maximum(fetch[i + m:j] + theta_ns, other[i + m:j]) + after[i + m:j]).sum()):
+                guess = True
+            else:
+                stretch = min(2 * stretch, _CHUNK)
+            i = j
+
+
+def _stage_dists(profile: StageProfile) -> list[DelayDist]:
+    """The six stage distributions in stream order: fetch, inference and
+    display, each contended and then uncontended. A contended stage sums its
+    uncontended parts and then its inflation term, so it is built from the
+    uncontended distribution with one convolution (the same fold)."""
+    dists = []
+    for uncontended, inflation in ((profile.fetch_delay_dist(False), profile.fetch_inflation),
+                                   (profile.infer_delay_dist(False), profile.infer_inflation),
+                                   (profile.disp_delay_dist(False), profile.disp_inflation)):
+        dists += (uncontended.convolve(inflation), uncontended)
+    return dists
 
 
 def run(cfg: SimConfig) -> SimResult:
     """Simulate one scenario; identical configs give identical results."""
-    ss = np.random.SeedSequence(cfg.seed)
-    ss_cam, ss_obj, ss_stages = ss.spawn(3)
-    rng_cam = np.random.default_rng(ss_cam)
+    ss_stages = np.random.SeedSequence(cfg.seed).spawn(3)[2]
+    return _simulate(cfg, [_chunks(d, np.random.default_rng(s))
+                           for d, s in zip(_stage_dists(cfg.profile), ss_stages.spawn(6))])
 
-    capture, decision, delivery = _camera_timeline(cfg, rng_cam)
+
+def _simulate(cfg: SimConfig, streams) -> SimResult:
+    """`run` on the given stage streams: six iterators of ns-valued int64
+    chunks in `_stage_dists` order, as `_chunks` yields them. The camera
+    timeline and the objects still come from the seed."""
+    ss_cam, ss_obj, _ = np.random.SeedSequence(cfg.seed).spawn(3)
+    capture, decision, delivery = _camera_timeline(cfg, np.random.default_rng(ss_cam))
     n_frames = len(capture)
-
-    # Each stage contended, then uncontended. A contended stage sums its
-    # uncontended parts and then its inflation term, so it is built from the
-    # uncontended distribution with one convolution (the same fold).
-    p = cfg.profile
-    dists = []
-    for uncontended, inflation in ((p.fetch_delay_dist(False), p.fetch_inflation),
-                                   (p.infer_delay_dist(False), p.infer_inflation),
-                                   (p.disp_delay_dist(False), p.disp_inflation)):
-        dists += (uncontended.convolve(inflation), uncontended)
-    fetch_c, fetch_u, infer_c, infer_u, disp_c, disp_u = (
-        _chunks(d, np.random.default_rng(c)) for d, c in zip(dists, ss_stages.spawn(6)))
+    fetch_c, fetch_u, infer_c, infer_u, disp_c, disp_u = streams
 
     variant = cfg.variant
     queue_size, phased = variant.queue_size, variant.phased
@@ -351,16 +547,11 @@ def run(cfg: SimConfig) -> SimResult:
     def cycle_draws():
         for f, i, d in zip(fetch, infer, disp):
             disp_read.append(d)
-            if phased:
-                yield zip(f.tolist(), d.tolist(), i.tolist())
-            else:
-                yield zip(f.tolist(), np.maximum(i, d).tolist(), repeat(0))
+            yield (f, d, i) if phased else (f, np.maximum(i, d), np.zeros_like(f))
 
-    fetched, cyc_len, last_other = _run_cycles(
-        decision.tolist(), delivery.tolist(), queue_size, theta_ns,
-        chain.from_iterable(cycle_draws()))
+    fetched, cyc_len, last_other = _run_cycles(decision, delivery, queue_size, theta_ns,
+                                               cycle_draws())
 
-    fetched = np.asarray(fetched, dtype=np.int64)
     n_fetched = len(fetched)
     warnings: list[str] = []
     if n_fetched == 0:
@@ -373,12 +564,12 @@ def run(cfg: SimConfig) -> SimResult:
     lag = 1 if phased else 2
     disp_ns = np.concatenate(disp_read)[lag:n_fetched + 1]
     if n_fetched and phased:
-        cyc_len.append(last_other)
+        cyc_len = np.append(cyc_len, last_other)
     elif n_fetched:
         last_disp = int(next(disp_u)[0])
-        cyc_len += (last_other if n_fetched > 1 else int(next(infer_u)[0]), last_disp)
+        cyc_len = np.append(cyc_len, (last_other if n_fetched > 1 else int(next(infer_u)[0]),
+                                      last_disp))
         disp_ns = np.append(disp_ns, last_disp)
-    cyc_len = np.asarray(cyc_len, dtype=np.int64)
     # Every cycle starts where the previous one ends, and the fetching
     # cycles come first.
     cyc_start = np.cumsum(cyc_len) - cyc_len

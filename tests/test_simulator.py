@@ -11,11 +11,13 @@ are phrased relative to it.
 
 import dataclasses
 import hashlib
+from collections import Counter
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipedelay.camera import CameraConfig, UsbLinkConfig
@@ -28,8 +30,10 @@ from pipedelay.detector import (
     blocking_bounds,
 )
 from pipedelay.dist import DelayDist, ZERO_DELAY
+from pipedelay import sim
 from pipedelay.scenario import load_scenario
-from pipedelay.sim import _FIRST_CHUNK, _MS, SimConfig, SimResult, _chunks, _delayed, run
+from pipedelay.sim import (_FIRST_CHUNK, _MS, SimConfig, SimResult, _chunks, _delayed,
+                           _simulate, _stage_dists, run)
 from test_acceptance import _random_scenario
 
 MICRO_CAM = CameraConfig(frame_rate=100.0, width=700, height=1, bits_per_pixel=16)
@@ -738,10 +742,78 @@ PINNED_SHORT = {
 }
 
 
+# Runs whose verified block prefixes end at each kind of boundary (see
+# `sim._solve_block`), named by it: a dropped or a skipped frame, a fetch
+# that finds the FIFO empty or waits on its head, a FIFO that stops filling,
+# and the last frame; runs shorter than the first 64-cycle draw chunk, which
+# solve no block; 0 ns cycles; and shared decision instants. Each entry is
+# (gate scenario index from seed 5, variant, run length in capture
+# intervals).
+_BLOCK_RUNS = {
+    "drop.vanilla1": (16, Vanilla(1), 600),
+    "drop.vanilla4": (27, Vanilla(4), 100),
+    "skip.on_demand": (16, OnDemand(), 100),
+    "skip.zero_slack": (16, ZeroSlack(5.0), 300),
+    "starved.vanilla1": (33, Vanilla(1), 300),
+    "waits.vanilla2": (5, Vanilla(2), 600),
+    "unsaturated.vanilla4": (13, Vanilla(4), 300),
+    "end.vanilla1": (68, Vanilla(1), 300),
+    "end.on_demand": (106, OnDemand(), 300),
+    "end.zero_slack": (106, ZeroSlack(12.5), 300),
+    "end.vanilla4": (9, Vanilla(4), 100),
+    "end.contention_free": (50, ContentionFree(), 100),
+    "short.vanilla4": (9, Vanilla(4), 40),
+    "short.on_demand": (9, OnDemand(), 40),
+    "short.contention_free": (9, ContentionFree(), 40),
+}
+
+
+def _pinned_block_runs():
+    rng = np.random.default_rng(5)
+    scenarios = [_random_scenario(rng, i)[:3] for i in range(107)]
+    for key, (i, variant, cycles) in _BLOCK_RUNS.items():
+        cam, usb, profile = scenarios[i]
+        yield key, SimConfig(camera=cam, usb=usb, profile=profile, variant=variant,
+                             duration_ms=cycles * cam.cycle_ms, seed=i, n_objects=20,
+                             trace=True)
+    yield "zero.vanilla4", shared_config(profile=ZERO_PROFILE, variant=Vanilla(4),
+                                         duration_ms=3000.0, trace=True)
+    yield "zero.on_demand", shared_config(profile=ZERO_PROFILE, variant=OnDemand(),
+                                          duration_ms=3000.0, capture_jitter_ms=0.0,
+                                          trace=True)
+    yield "shared.vanilla2", shared_config(variant=Vanilla(2), duration_ms=8000.0,
+                                           trace=True)
+
+
+# Digests of every SimResult field, recorded at commit 9409505, before the
+# block solver.
+PINNED_BLOCKS = {
+    "drop.vanilla1": "879856201e3ed634",
+    "drop.vanilla4": "3ae42fae4e4b3f9b",
+    "skip.on_demand": "025f7d47b8c3a6c2",
+    "skip.zero_slack": "6c773f43a33d94fe",
+    "starved.vanilla1": "b1cf6fc8a46502b2",
+    "waits.vanilla2": "99c2255ff2bb7150",
+    "unsaturated.vanilla4": "5fecb323a634f398",
+    "end.vanilla1": "e1fb123578063932",
+    "end.on_demand": "00ad520c896242a6",
+    "end.zero_slack": "c424979b9a64f079",
+    "end.vanilla4": "8352e4ffded6a7e1",
+    "end.contention_free": "00e0e89e6ce8c84a",
+    "short.vanilla4": "19bbd9a2d22b59e7",
+    "short.on_demand": "9f0fad960b6262e8",
+    "short.contention_free": "f6d16bd8006ef4a9",
+    "zero.vanilla4": "73ba74bf142116e8",
+    "zero.on_demand": "faf0bbda6abda8ad",
+    "shared.vanilla2": "9996261592b318c5",
+}
+
+
 class TestPinnedRuns:
     """Runs pinned across the move of the stage draws out of the cycle
     loop: the gate's first scenarios, every preset variant traced, and the
-    drain cycles after one, two and three fetched frames."""
+    drain cycles after one, two and three fetched frames; and runs pinned
+    across the block solver at each kind of block boundary."""
 
     def test_gate_runs(self):
         got = {key: result_digest(run(cfg)) for key, cfg in _pinned_gate_runs()}
@@ -758,6 +830,94 @@ class TestPinnedRuns:
             assert r.frames_fetched == r.frames_captured == int(key[-1])
             got[key] = result_digest(r)
         assert got == PINNED_SHORT
+
+    def test_block_boundary_runs(self):
+        got = {key: result_digest(run(cfg)) for key, cfg in _pinned_block_runs()}
+        assert got == PINNED_BLOCKS
+
+
+# -- block solver ------------------------------------------------------------------
+
+
+def _solve_nothing(never_binds, decision, delivery, queue_size, theta_ns, now, ptr, queue,
+                   *draws):
+    """A block solver that verifies no cycle, so the per-cycle loop runs alone."""
+    empty = np.zeros(0, dtype=np.int64)
+    return empty, empty, now, ptr, queue
+
+
+_SCHEDULES = ("draws", "min", "max", "alternating", "random")
+
+
+def _schedule_streams(profile, schedule, seed, chunk):
+    """Six stage streams in `_stage_dists` order: the seeded draws, or each
+    stage's minimum, its maximum, the two in turn, or a random one of the
+    two, in chunks of `chunk` values."""
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
+    if schedule == "draws":
+        return [_chunks(d, rng) for d, rng in zip(_stage_dists(profile), rngs)]
+
+    def stream(dist, rng):
+        lo, hi = (int(round(x * _MS)) for x in (dist.min, dist.max))
+        for start in range(0, 1 << 62, chunk):
+            n = np.arange(start, start + chunk)
+            high = {"min": n < 0, "max": n >= 0, "alternating": n % 2 == 1,
+                    "random": rng.random(chunk) < 0.5}[schedule]
+            yield np.where(high, hi, lo).astype(np.int64)
+
+    return [stream(d, rng) for d, rng in zip(_stage_dists(profile), rngs)]
+
+
+class TestBlockSolver:
+    """The block solver only keeps cycles it has verified, so a run must
+    fetch the same frames with the same cycle lengths as the per-cycle loop
+    alone, and the predictor must send single-regime runs to it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(_DIGEST_VARIANTS)),
+           schedule=st.sampled_from(_SCHEDULES), chunk=st.sampled_from([7, 64, 4096]),
+           cycles=st.integers(1, 2500), theta=st.floats(0.0, 2.0),
+           jitter=st.sampled_from([0.0, 0.2, 0.39]))
+    # A frame decided while the fetch waits on its head finds a full FIFO of
+    # one buffer: the no-drop guess must check the retrieval instant.
+    @example(seed=1224932293, kind="vanilla1", schedule="min", chunk=64, cycles=1929,
+             theta=0.0, jitter=0.39)
+    def test_block_path_matches_per_cycle_loop(self, seed, kind, schedule, chunk, cycles,
+                                               theta, jitter):
+        cam, usb, profile, _ = _random_scenario(np.random.default_rng(seed), 0)
+        cfg = SimConfig(camera=cam, usb=usb, profile=profile,
+                        variant=_DIGEST_VARIANTS[kind](theta * cam.cycle_ms),
+                        duration_ms=cycles * cam.cycle_ms, seed=seed, n_objects=10,
+                        capture_jitter_ms=jitter * cam.cycle_ms)
+        block = _simulate(cfg, _schedule_streams(profile, schedule, seed, chunk))
+        with mock.patch.object(sim, "_solve_block", _solve_nothing):
+            loop = _simulate(cfg, _schedule_streams(profile, schedule, seed, chunk))
+        assert block.fetched_frames.tolist() == loop.fetched_frames.tolist()
+        assert block.cycle_times.tolist() == loop.cycle_times.tolist()
+
+    def test_predictor_routes_presets(self, monkeypatch):
+        """Blocks solve nearly every cycle of the detector-limited and the
+        arrival-limited presets, none of contention_free, whose fetch waits
+        on a skipped-to frame, and few of the mixed case3."""
+        solved = Counter()
+        solve = sim._solve_block
+
+        def counting(*args):
+            out = solve(*args)
+            solved[key] += len(out[1])
+            return out
+
+        monkeypatch.setattr(sim, "_solve_block", counting)
+        share = {}
+        for name in ("default", "case1", "case3"):
+            s = load_scenario(name)
+            for v in s.variants:
+                key = f"{name}.{v.name}"
+                r = run(dataclasses.replace(s.sim_config(v), duration_ms=600000.0))
+                share[key] = solved[key] / len(r.cycle_times)
+        assert share.pop("default.contention_free") == 0
+        assert share.pop("case3.vanilla") < 0.05
+        assert min(share.values()) > 0.9, share
 
 
 # -- bookkeeping against the event trace -----------------------------------------
