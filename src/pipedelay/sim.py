@@ -85,17 +85,17 @@ loop. There are two guesses:
   head is: searchsorted(decision, release_n, "right") <= h_n.
 
 A predictor picks the path. After each per-cycle stretch it reads the
-stretch's second half: consecutive heads point to the no-drop guess, and
-cycles that all lasted alpha (their sum is the alpha sum, as no cycle is
-shorter) with the FIFO as the saturated guess needs it point to the
-fetch-never-binds guess; otherwise the next stretch doubles, up to 4096
-cycles. A speculation window starts at 64 cycles and doubles while its
-guess verifies in full, which also sets the stretch back to 64; a window
-that fails within 32 cycles doubles the stretch. The mixed case3 run and
-contention_free, whose every fetch waits on the frame it skipped to, stay
-per-cycle almost entirely. Like the draw schedule, the path never changes
-a result: every cycle a block keeps is one the loop would have run with
-the same head and length.
+stretch's second half, at most its last 64 cycles: consecutive heads point
+to the no-drop guess, and cycles that all lasted alpha (their sum is the
+alpha sum, as no cycle is shorter) with the FIFO as the saturated guess
+needs it point to the fetch-never-binds guess; otherwise the next stretch
+doubles, up to 4096 cycles. A speculation window starts at 64 cycles and
+doubles while its guess verifies in full, which also sets the stretch back
+to 64; a window that fails within 32 cycles doubles the stretch. The mixed
+case3 run and contention_free, whose every fetch waits on the frame it
+skipped to, stay per-cycle almost entirely. Like the draw schedule, the
+path never changes a result: every cycle a block keeps is one the loop
+would have run with the same head and length.
 
 The per-cycle loop passes over frames dropped at a full FIFO, or skipped
 by a queueless variant, with one bisection of the decision instants per
@@ -350,20 +350,17 @@ def _solve_block(never_binds, decision, delivery, queue_size, theta_ns,
 
 def _cycles(dec, dlv, n_frames, queue_size, theta_ns, now, ptr, queue, fetch, other, after):
     """Run cycles one by one from the loop state `now`, `ptr` and `queue`
-    (changed in place), with the per-cycle `fetch`, `other` and `after`
-    lists. `dec` and `dlv` list the frames' decision and delivery instants
-    as far as they are filled, `dec` then with a `_NEVER` sentinel; reading
-    past the filled frames raises IndexError.
-
+    (changed in place) with the per-cycle draw lists. `dec` and `dlv` list
+    the decision and delivery instants of the frames filled so far, `dec`
+    then with a `_NEVER` sentinel; reading past them raises IndexError.
     Returns the fetched frames and cycle lengths as lists, `now` and `ptr`
     after them, and the `other` draw of the first cycle that found no frame
     (None while frames are left).
 
     Admission is written out twice rather than called, which saves a call
     per cycle: in order, every frame decided by the instant is accepted
-    while the FIFO has room, and once it is full the rest are passed over as
-    dropped with one bisection (the FIFO only drains at retrievals, so once
-    full it stays full until the next one).
+    while the FIFO has room, and once it is full the rest are passed over
+    as dropped with one bisection (the FIFO only drains at retrievals).
     """
     room_after_fetch = queue_size - 1
     heads, lens = [], []
@@ -418,12 +415,13 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
     that found no frame; `run` adds the drain cycles and derives everything
     else from these.
 
-    The cycles run in per-cycle stretches (`_cycles`) and verified blocks
-    (`_solve_block`): after each stretch the predictor tries the no-drop
-    guess if its second half fetched consecutive frames, else the
-    fetch-never-binds guess if every cycle of that half lasted alpha with
-    the FIFO saturated, else the next stretch doubles. A block keeps only
-    the cycles its checks verify, so the result is the per-cycle loop's.
+    Cycles run in per-cycle stretches (`_cycles`) and verified blocks
+    (`_solve_block`). After each stretch the predictor tries the no-drop
+    guess if the second half of the stretch (at most 64 cycles) fetched
+    consecutive frames, else the fetch-never-binds guess if each of its
+    cycles lasted alpha with the FIFO saturated, else doubles the next
+    stretch. A block keeps only the cycles its checks verify, so the result
+    is the loop's.
     """
     n_frames = len(decision)
     sentinelled = None   # decision and delivery with `_NEVER` appended, for the blocks
@@ -488,9 +486,9 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
             lens.append(np.array(c, dtype=np.int64))
             if last is not None:
                 return np.concatenate(heads), np.concatenate(lens), last
-            # The predictor reads the second half of the stretch, past a
-            # start-up or a change of regime early in it.
-            m = (j - i) // 2
+            # The predictor reads the second half of the stretch, at most its
+            # last 64 cycles: past a start-up or a change of regime.
+            m = max((j - i) // 2, j - i - _FIRST_CHUNK)
             if h[-1] - h[m] == j - i - 1 - m:
                 guess = False
             elif (len(queue) == max(queue_size - 1, 0) and lens[-1][m:].sum()

@@ -832,8 +832,21 @@ class TestPinnedRuns:
         assert got == PINNED_SHORT
 
     def test_block_boundary_runs(self):
-        got = {key: result_digest(run(cfg)) for key, cfg in _pinned_block_runs()}
+        solved = Counter()
+        solve = sim._solve_block
+
+        def counting(*args):
+            out = solve(*args)
+            solved[key] += len(out[1])
+            return out
+
+        got = {}
+        with mock.patch.object(sim, "_solve_block", counting):
+            for key, cfg in _pinned_block_runs():
+                got[key] = result_digest(run(cfg))
         assert got == PINNED_BLOCKS
+        # Only the runs shorter than the first draw chunk solve no block.
+        assert {k for k in got if not solved[k]} == {k for k in got if k.startswith("short.")}
 
 
 # -- block solver ------------------------------------------------------------------
