@@ -12,7 +12,7 @@ are phrased relative to it.
 import dataclasses
 import hashlib
 from collections import Counter
-from itertools import islice
+from itertools import count, islice
 from unittest import mock
 
 import numpy as np
@@ -872,7 +872,7 @@ def _schedule_streams(profile, schedule, seed, chunk):
 
     def stream(dist, rng):
         lo, hi = (int(round(x * _MS)) for x in (dist.min, dist.max))
-        for start in range(0, 1 << 62, chunk):
+        for start in count(0, chunk):
             n = np.arange(start, start + chunk)
             high = {"min": n < 0, "max": n >= 0, "alternating": n % 2 == 1,
                     "random": rng.random(chunk) < 0.5}[schedule]
