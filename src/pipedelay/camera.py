@@ -29,17 +29,17 @@ class CameraConfig:
 
     def __post_init__(self):
         if not (self.frame_rate > 0):
-            raise ValueError("frame_rate must be positive")
+            raise ValueError("frame_rate: must be positive")
         if self.width < 1:
-            raise ValueError("width must be positive")
+            raise ValueError("width: must be positive")
         if self.height < 1:
-            raise ValueError("height must be positive")
+            raise ValueError("height: must be positive")
         if self.bits_per_pixel < 1:
-            raise ValueError("bits_per_pixel must be positive")
+            raise ValueError("bits_per_pixel: must be positive")
         if self.min_capture_delay < 0:
-            raise ValueError("min_capture_delay must be >= 0")
+            raise ValueError("min_capture_delay: must be >= 0")
         if self.min_capture_delay >= self.cycle_ms:
-            raise ValueError("min_capture_delay must be below the capture interval")
+            raise ValueError("min_capture_delay: must be below the capture interval")
 
     @property
     def cycle_ms(self) -> float:
@@ -59,13 +59,13 @@ class UsbLinkConfig:
 
     def __post_init__(self):
         if self.bytes_per_microframe < 1:
-            raise ValueError("bytes_per_microframe must be positive")
+            raise ValueError("bytes_per_microframe: must be positive")
         if self.urb_microframes < 1:
-            raise ValueError("urb_microframes must be positive")
+            raise ValueError("urb_microframes: must be positive")
         if not (self.microframe_ms > 0):
-            raise ValueError("microframe_ms must be positive")
+            raise ValueError("microframe_ms: must be positive")
         if self.protocol_overhead_microframes < 0:
-            raise ValueError("protocol_overhead_microframes must be >= 0")
+            raise ValueError("protocol_overhead_microframes: must be >= 0")
 
     @property
     def urb_period_ms(self) -> float:

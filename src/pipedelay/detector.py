@@ -72,7 +72,7 @@ class Vanilla:
 
     def __post_init__(self):
         if self.queue_size < 0:
-            raise ValueError("queue_size must be >= 0")
+            raise ValueError("queue_size: must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,10 @@ class ZeroSlack:
     phased = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and self.theta >= 0):
-            raise ValueError("theta must be finite and >= 0")
+        if not (self.theta >= 0):
+            raise ValueError("theta: must be >= 0")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta: must be finite")
 
 
 @dataclass(frozen=True)

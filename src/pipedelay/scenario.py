@@ -58,6 +58,10 @@ fields of `StageProfile`.
 variants, and are None when the scenario has no such variant. The
 `[sim] objects` and `capture_jitter_ms` defaults are those of `SimConfig`.
 Parse problems raise ScenarioError naming the offending section and key.
+The parser checks only what it reads: sections, keys, presets and that
+each value converts to a finite number. Range checks live in the config
+dataclasses (`CameraConfig`, `UsbLinkConfig`, `Vanilla`, `ZeroSlack`,
+`SimConfig`), which name the failing field; `_KEYS` maps it to its key.
 
 `edits` sets keys on the parsed file before anything is resolved, as if
 the file said so. A `pipedelay sweep` point is such an edit of the swept
@@ -78,6 +82,7 @@ from .detector import (
     PipelineVariant,
     StageProfile,
     Vanilla,
+    ZeroSlack,
     blocking_bounds,
     compute_theta_fetch,
     detector_delay_bounds,
@@ -96,6 +101,22 @@ def _names(cls, required: bool = False) -> tuple[str, ...]:
 _STAGES = _names(StageProfile)
 _VARIANTS = {v.name: v for v in get_args(PipelineVariant)}
 
+# The config dataclasses check every setting and name the field that fails
+# ("<field>: <reason>", with a dotted path for a nested field, or "transfer"
+# for SimConfig's frame transfer term); this maps each to its key.
+_KEYS = {
+    **{f"camera.{k}": f"[camera] {k}" for k in _names(CameraConfig)},
+    **{f"usb.{k}": f"[usb] {k}" for k in _names(UsbLinkConfig)},
+    **{f"profile.{s}": f"[profile.{s}]" for s in _STAGES},
+    "transfer": "[camera]/[usb] frame transfer",
+    "variant.queue_size": "[queue] size",
+    "variant.theta": "[zero_slack] theta",
+    "duration_ms": "[sim] duration_ms",
+    "seed": "[sim] seed",
+    "n_objects": "[sim] objects",
+    "capture_jitter_ms": "[sim] capture_jitter_ms",
+}
+
 _ALLOWED_KEYS = {
     "scenario": {"name", "variants"},
     "camera": {"preset", *_names(CameraConfig)},
@@ -109,6 +130,16 @@ _ALLOWED_KEYS = {
 
 class ScenarioError(ValueError):
     """A scenario file could not be parsed or resolved."""
+
+
+def _build(cls, prefix: str = "", **kwargs):
+    """`cls(**kwargs)`, its ValueError raised again as a ScenarioError that
+    names the failing field's key; `prefix` is the field path of `cls`."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        path, _, reason = str(exc).partition(": ")
+        raise ScenarioError(f"{_KEYS[prefix + path]}: {reason}") from None
 
 
 @dataclass(frozen=True)
@@ -141,7 +172,8 @@ class Scenario:
 
     def sim_config(self, variant: PipelineVariant, seed: int | None = None,
                    trace: bool = False) -> SimConfig:
-        return SimConfig(
+        return _build(
+            SimConfig,
             camera=self.camera,
             usb=self.usb,
             profile=self.profile,
@@ -284,13 +316,8 @@ def parse_scenario(text: str, name: str = "scenario", base_dir: str = ".",
         if missing:
             raise ScenarioError(
                 f"[{sec_name}]: missing {', '.join(missing)} (set {hint} or the fields)")
-    built = []
-    for (cls, sec_name, _), given in zip(configs, values):
-        try:
-            built.append(cls(**given))
-        except ValueError as exc:
-            raise ScenarioError(f"[{sec_name}]: {exc}") from None
-    camera, usb = built
+    camera, usb = (_build(cls, f"{sec_name}.", **given)
+                   for (cls, sec_name, _), given in zip(configs, values))
 
     # Stage profile.
     prof_sec = section("profile")
@@ -314,16 +341,15 @@ def parse_scenario(text: str, name: str = "scenario", base_dir: str = ".",
             "(set a preset or per-stage sections)")
     profile = StageProfile(**stages)
 
-    # Variants.
+    # Variants. The queue size is checked even when no vanilla variant
+    # reads it.
     queue_size = section("queue").get("size", int, Vanilla.queue_size)
-    if queue_size < 0:
-        raise ScenarioError("[queue] size: must be >= 0")
+    built = {"vanilla": _build(Vanilla, "variant.", queue_size=queue_size)}
     scen_sec = section("scenario")
     raw_variants = [v.strip() for v in
                     scen_sec.items.get("variants", "").split(",") if v.strip()]
     if not raw_variants:
         raise ScenarioError("[scenario] variants: need at least one variant")
-    theta: float | None = None
     if "zero_slack" in raw_variants:
         raw_theta = section("zero_slack").items.get("theta", "auto")
         if raw_theta.strip().lower() == "auto":
@@ -332,9 +358,7 @@ def parse_scenario(text: str, name: str = "scenario", base_dir: str = ".",
                 profile.extremes(True)[0][1], blocking_bounds(camera, usb)[1])
         else:
             theta = section("zero_slack").get("theta", float, None)
-            if theta < 0:
-                raise ScenarioError("[zero_slack] theta: must be >= 0")
-    args = {"vanilla": (queue_size,), "zero_slack": (theta,)}
+        built["zero_slack"] = _build(ZeroSlack, "variant.", theta=theta)
     variants = []
     for vname in raw_variants:
         if vname not in _VARIANTS:
@@ -343,58 +367,25 @@ def parse_scenario(text: str, name: str = "scenario", base_dir: str = ".",
                 f"(expected one of {', '.join(_VARIANTS)})")
         if raw_variants.count(vname) > 1:
             raise ScenarioError(f"[scenario] variants: {vname!r} is listed more than once")
-        variants.append(_VARIANTS[vname](*args.get(vname, ())))
+        variants.append(built[vname] if vname in built else _VARIANTS[vname]())
 
     sim_sec = section("sim")
-    duration_ms = sim_sec.get("duration_ms", float, 30000.0)
-    if duration_ms <= 0:
-        raise ScenarioError("[sim] duration_ms: must be positive")
-    seed = sim_sec.get("seed", int, 0)
-    if seed < 0:
-        raise ScenarioError("[sim] seed: must be >= 0")
-    n_objects = sim_sec.get("objects", int, SimConfig.n_objects)
-    if n_objects < 0:
-        raise ScenarioError("[sim] objects: must be >= 0")
-    jitter = sim_sec.get("capture_jitter_ms", float, SimConfig.capture_jitter_ms)
-
-    # Capture timing the camera model and the simulator can run: arrivals
-    # need a capture interval above the USB buffering period, and jittered
-    # captures stay in order only for jitter up to 0.4 capture intervals.
-    cycle_ms = camera.cycle_ms
-    period_ms = usb.urb_period_ms
-    if cycle_ms <= period_ms:
-        raise ScenarioError(
-            f"[camera] frame_rate: capture interval {cycle_ms:g} ms must exceed "
-            f"the USB buffering period {period_ms:g} ms")
-    if jitter < 0:
-        raise ScenarioError("[sim] capture_jitter_ms: must be >= 0")
-    if jitter > 0.4 * cycle_ms:
-        raise ScenarioError(
-            f"[sim] capture_jitter_ms: {jitter:g} ms exceeds 0.4 of the "
-            f"{cycle_ms:g} ms capture interval")
-
     scenario = Scenario(
         name=scen_sec.items.get("name", name),
         camera=camera,
         usb=usb,
         profile=profile,
         variants=tuple(variants),
-        duration_ms=duration_ms,
-        seed=seed,
-        n_objects=n_objects,
-        capture_jitter_ms=jitter,
+        duration_ms=sim_sec.get("duration_ms", float, 30000.0),
+        seed=sim_sec.get("seed", int, 0),
+        n_objects=sim_sec.get("objects", int, SimConfig.n_objects),
+        capture_jitter_ms=sim_sec.get("capture_jitter_ms", float, SimConfig.capture_jitter_ms),
         profile_preset=profile_preset,
     )
-    # The settings are checked above; what the simulator still rejects is a
-    # run its clock cannot hold, and its error names the culprit field.
+    # The run settings, and whether the camera and the simulator's clock
+    # can run them, are checked by the SimConfig of each variant.
     for variant in scenario.variants:
-        try:
-            scenario.sim_config(variant)
-        except ValueError as exc:
-            path, _, reason = str(exc).partition(": ")
-            key = {"variant.theta": "[zero_slack] theta",
-                   "duration_ms": "[sim] duration_ms"}.get(path, f"[{path}]")
-            raise ScenarioError(f"{key}: {reason}") from None
+        scenario.sim_config(variant)
     return scenario
 
 

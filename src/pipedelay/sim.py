@@ -149,28 +149,48 @@ class SimConfig:
     trace: bool = False
 
     def __post_init__(self):
+        # Every setting a run depends on is checked here, so any SimConfig
+        # that constructs can run; each error starts with the field's name,
+        # a dotted path for a nested field.
+        cycle_ms, period_ms = self.camera.cycle_ms, self.usb.urb_period_ms
+        jitter = self.capture_jitter_ms
         if not (self.duration_ms > 0):
-            raise ValueError("duration_ms must be positive")
+            raise ValueError("duration_ms: must be positive")
+        if self.seed < 0:
+            raise ValueError("seed: must be >= 0")
         if self.n_objects < 0:
-            raise ValueError("n_objects must be >= 0")
-        if self.capture_jitter_ms < 0:
-            raise ValueError("capture_jitter_ms must be >= 0")
-        if self.capture_jitter_ms > 0.4 * self.camera.cycle_ms:
-            raise ValueError("capture jitter too large for the capture interval")
+            raise ValueError("n_objects: must be >= 0")
+        # Arrivals need a capture interval above the USB buffering period,
+        # and jittered captures stay in order only for jitter up to 0.4 C.
+        if cycle_ms <= period_ms:
+            raise ValueError(f"camera.frame_rate: capture interval {cycle_ms:g} ms must "
+                             f"exceed the USB buffering period {period_ms:g} ms")
+        if jitter < 0:
+            raise ValueError("capture_jitter_ms: must be >= 0")
+        if jitter > 0.4 * cycle_ms:
+            raise ValueError(f"capture_jitter_ms: {jitter:g} ms exceeds 0.4 of the "
+                             f"{cycle_ms:g} ms capture interval")
+        if self.object_times_ms is not None:
+            obj_ns = np.rint(np.asarray(self.object_times_ms, dtype=np.float64) * _MS)
+            if not np.all((obj_ns >= 0) & (obj_ns < self.duration_ms * _MS)):
+                raise ValueError("object_times_ms: must lie within the run duration")
         # Every instant of a run must stay below the clock's _NEVER. The last
         # delivery comes within the jitter, one microframe and the longest
-        # transfer after the run's end; the loop runs at most one cycle per
-        # capture (below duration / C + 1) and two to drain, and no cycle
-        # outlasts theta plus every contended stage maximum (the phased shape
-        # runs its stages in turn). The error names the largest term.
+        # frame transfer (set by the camera's frame size and the usb link)
+        # after the run's end; the loop runs at most one cycle per capture
+        # (below duration / C + 1) and two to drain, and no cycle outlasts
+        # theta plus every contended stage maximum (the phased shape runs its
+        # stages in turn). The error names the largest term, the transfer
+        # as "transfer".
         p = self.profile
         terms = {"variant.theta": self.variant.theta,
                  **{f"profile.{f.name}": getattr(p, f.name).max for f in fields(p)}}
         _, tran_max = transfer_delay_bounds(frame_size(self.camera), self.usb)
-        last_ms = self.duration_ms + self.capture_jitter_ms + self.usb.microframe_ms + tran_max
-        cycles = self.duration_ms / self.camera.cycle_ms + 3
+        last_ms = self.duration_ms + jitter + self.usb.microframe_ms + tran_max
+        cycles = self.duration_ms / cycle_ms + 3
         if not (last_ms + cycles * sum(terms.values())) * _MS < _NEVER:
-            key, ms = max({**terms, "duration_ms": self.duration_ms}.items(), key=lambda t: t[1])
+            key, ms = max({**terms, "duration_ms": self.duration_ms,
+                           "transfer": tran_max}.items(), key=lambda t: t[1])
             raise ValueError(f"{key}: {ms:g} ms can end the run past the simulator "
                              f"clock's {_NEVER / _MS:g} ms")
 
@@ -282,8 +302,6 @@ def _camera_timeline(cfg: SimConfig, rng: np.random.Generator):
 
     u_ns = int(round(usb.microframe_ms * _MS))
     urb_ns = u_ns * usb.urb_microframes
-    if cam.cycle_ms <= usb.urb_period_ms:
-        raise ValueError("capture interval must exceed the URB buffering period")
     phase = int(rng.integers(0, urb_ns))
     n_micro = total_microframes(frame_size(cam), usb)
 
@@ -619,18 +637,12 @@ def _simulate(cfg: SimConfig, streams) -> SimResult:
     # Frames with a fully occupied pipeline on both sides of their journey;
     # analytical steady-state bounds apply to these.
     steady = np.zeros(n_fetched, dtype=bool)
-    if phased:
-        steady[1:] = True
-    else:
-        if n_fetched > 3:
-            steady[2:n_fetched - 1] = True
+    steady[lag:n_fetched - 1 + phased] = True
 
     # Map objects to the first retrieved frame captured at or after their
     # appearance (plus the configured exposure floor).
     if cfg.object_times_ms is not None:
         obj_ns = np.rint(np.asarray(sorted(cfg.object_times_ms), dtype=np.float64) * _MS).astype(np.int64)
-        if len(obj_ns) and (obj_ns[0] < 0 or obj_ns[-1] >= cfg.duration_ms * _MS):
-            raise ValueError("object times must lie within the run duration")
     else:
         rng_obj = np.random.default_rng(ss_obj)
         window = cfg.duration_ms * _OBJECT_WINDOW_FRAC * _MS

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +18,7 @@ import pipedelay.scenario
 
 from pipedelay import cli
 from pipedelay.analysis import analyze
+from pipedelay.camera import CameraConfig, UsbLinkConfig
 from pipedelay.detector import ContentionFree, OnDemand, Vanilla, ZeroSlack
 from pipedelay.queueing import QueueRegime
 from pipedelay.presets import SCENARIO_PRESETS
@@ -629,6 +630,18 @@ _BAD_SCENARIOS = {
     "negative_overhead": ("preset = c930e-640x480-30", "preset = c930e-640x480-30\n\n"
                           "[usb]\nprotocol_overhead_microframes = -1"),
     "zero_width": ("preset = c930e-640x480-30", "preset = c930e-640x480-30\nwidth = 0"),
+    "negative_queue_on_demand": ("variants = vanilla\n\n[camera]\npreset = c930e-640x480-30\n\n"
+                                 "[queue]\nsize = 2",
+                                 "variants = on_demand\n\n[camera]\npreset = c930e-640x480-30\n\n"
+                                 "[queue]\nsize = -1"),
+    "negative_objects": ("objects = 30", "objects = -1"),
+    "negative_duration": ("duration_ms = 4000", "duration_ms = -5"),
+    "negative_theta": ("variants = vanilla",
+                       "variants = zero_slack\n\n[zero_slack]\ntheta = -1"),
+    "huge_overhead": ("preset = c930e-640x480-30", "preset = c930e-640x480-30\n\n"
+                      "[usb]\nprotocol_overhead_microframes = 1000000000000000000"),
+    "huge_width": ("preset = c930e-640x480-30",
+                   "preset = c930e-640x480-30\nwidth = 1000000000000000"),
     "csv_not_a_number": ("preset = xavier-yolov3-608",
                          "preset = xavier-yolov3-608\n\n[profile.fetch_exec]\ncsv = abc.csv"),
     "csv_not_utf8": ("preset = xavier-yolov3-608",
@@ -703,14 +716,34 @@ class TestCliBadValues:
         (["simulate", "{tmp}/fetch_1e12_queue_4.ini"], "[profile.fetch_exec]"),
         (["validate", "{tmp}/fetch_1e15_contention_free.ini"], "[profile.fetch_exec]"),
         (["analyze", "{tmp}/fetch_1e308.ini"], "[profile.fetch_exec]"),
-        (["analyze", "{tmp}/negative_overhead.ini"], "protocol_overhead_microframes"),
-        (["analyze", "{tmp}/zero_width.ini"], "width"),
+        (["analyze", "{tmp}/negative_overhead.ini"], "[usb] protocol_overhead_microframes:"),
+        (["analyze", "{tmp}/zero_width.ini"], "[camera] width:"),
+        (["analyze", "{tmp}/negative_queue_on_demand.ini"], "[queue] size: must be >= 0"),
+        (["simulate", "{tmp}/negative_objects.ini"], "[sim] objects: must be >= 0"),
+        (["simulate", "{tmp}/negative_duration.ini"], "[sim] duration_ms: must be positive"),
+        (["analyze", "{tmp}/negative_theta.ini"], "[zero_slack] theta: must be >= 0"),
+        (["analyze", "{tmp}/huge_overhead.ini"], "[camera]/[usb] frame transfer: 1.25e+17 ms"),
+        (["analyze", "{tmp}/huge_width.ini"], "[camera]/[usb] frame transfer: 4.46429e+13 ms"),
     ])
     def test_exits_2_naming_the_culprit(self, argv, culprit, bad_scenarios, capsys):
         # In process: any exception other than argparse's exit fails the test.
         argv = [a.replace("{tmp}", str(bad_scenarios)) for a in argv]
         assert run_cli(argv) == 2
         assert culprit.replace("{tmp}", str(bad_scenarios)) in capsys.readouterr().err
+
+    # Every field the camera and link configs check is reported by its key,
+    # so no check of theirs can bypass the scenario parser's key table.
+    @pytest.mark.parametrize("section, field", [
+        *(("camera", f.name) for f in fields(CameraConfig)),
+        *(("usb", f.name) for f in fields(UsbLinkConfig)),
+    ])
+    def test_every_camera_and_usb_field_is_named_by_its_key(self, section, field,
+                                                             tmp_path, capsys):
+        text = FAST_SCENARIO + ("" if section == "camera" else "\n[usb]\n")
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{field} = -1\n"))
+        assert run_cli(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: [{section}] {field}: ")
 
 
 class TestCliModule:

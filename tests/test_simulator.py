@@ -399,9 +399,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             micro_config(capture_jitter_ms=5.0)
 
+    # Rejected at construction, with the failing field first, so that a
+    # SimConfig that constructs can run.
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(seed=-1), "seed"),
+        (dict(usb=dataclasses.replace(MICRO_USB, urb_microframes=80)), "camera.frame_rate"),
+        (dict(usb=dataclasses.replace(MICRO_USB, urb_microframes=100)), "camera.frame_rate"),
+    ], ids=["negative_seed", "interval_at_buffering_period", "interval_below_buffering_period"])
+    def test_rejects_at_construction_naming_the_field(self, overrides, field):
+        with pytest.raises(ValueError, match=rf"^{field}: "):
+            micro_config(**overrides)
+
     def test_rejects_objects_outside_run(self):
-        with pytest.raises(ValueError):
-            run(micro_config(object_times_ms=(150.0,)))
+        for times in ((150.0,), (34.0, -1.0)):
+            with pytest.raises(ValueError, match="^object_times_ms: "):
+                micro_config(object_times_ms=times)
 
     @pytest.mark.parametrize("field, value", [("fetch_exec", 1e12), ("infer_gpu", 1e308)])
     def test_rejects_stage_delays_past_the_clock(self, field, value):
