@@ -24,7 +24,7 @@ over `scenario.variants` (as `pipedelay simulate` and demos/04 do).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,35 +79,27 @@ def analyze(
 
     tran_lo, tran_hi = transfer_delay_bounds(frame_size(cam), usb)
     b_lo, b_hi = blocking_bounds(cam, usb)
-    certified = False
     q = variant.queue_size
-    if q > 0:
-        # Widened extremes hold for every cycle, including startup ones
-        # where the head may still be in transit.
-        det_wide = detector_delay_bounds(profile, variant, 0.0, b_hi)
-        certified = (
-            regime is QueueRegime.SERVICE_LIMITED
-            and tran_hi + arrivals.max <= q * nominal.s_min
+    # Widened extremes hold for every cycle, including startup ones where
+    # the head may still be in transit; a queued head is fetched at once.
+    wide = detector_delay_bounds(profile, variant, 0.0 if q else b_lo, b_hi)
+    certified = (
+        q > 0
+        and regime is QueueRegime.SERVICE_LIMITED
+        and tran_hi + arrivals.max <= q * nominal.s_min
+    )
+    det = nominal if certified else wide
+    # Uncertified, the floor on the wait is 0: it is positive only when the
+    # certificate's sum fits in q * s_min, and 0 outside SERVICE_LIMITED.
+    qd = queue_delay_bounds(
+        regime, q, det.s_min, wide.s_max,
+        tran_lo, tran_hi, arrivals.max, usb.urb_period_ms,
+    )
+    if q and not certified:
+        warnings.append(
+            "queue saturation not certified; bounds widened for retrieval blocking"
         )
-        det = nominal if certified else det_wide
-        qd = queue_delay_bounds(
-            regime, q, det.s_min, det_wide.s_max,
-            tran_lo, tran_hi, arrivals.max, usb.urb_period_ms,
-        )
-        if qd.d_queue_min > 0 and not certified:
-            # A late delivery can hand the fetcher a nearly fresh frame,
-            # so no positive floor on the wait survives.
-            qd = replace(qd, d_queue_min=0.0)
-        if not certified:
-            warnings.append(
-                "queue saturation not certified; bounds widened for retrieval blocking"
-            )
-        s_for_camera = det_wide.s_max
-    else:
-        det = detector_delay_bounds(profile, variant, b_lo, b_hi)
-        qd = QueueDelayBounds(0, 0.0, 0.0)
-        s_for_camera = det.s_max
-    cam_b = camera_delay_bounds(cam, usb, s_for_camera)
+    cam_b = camera_delay_bounds(cam, usb, wide.s_max)
 
     if det.clamped:
         warnings.append("detector lower bound clamped at zero")

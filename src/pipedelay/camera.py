@@ -10,6 +10,7 @@ two-point arrival interval distribution computed here.
 
 from dataclasses import dataclass
 import math
+import sys
 
 import numpy as np
 
@@ -62,6 +63,8 @@ class UsbLinkConfig:
             raise ValueError("bytes_per_microframe: must be positive")
         if self.urb_microframes < 1:
             raise ValueError("urb_microframes: must be positive")
+        if self.urb_microframes > sys.float_info.max:
+            raise ValueError("urb_microframes: too large for a float")
         if not (self.microframe_ms > 0):
             raise ValueError("microframe_ms: must be positive")
         if self.protocol_overhead_microframes < 0:
@@ -98,13 +101,14 @@ def total_microframes(frame_bytes: int, usb: UsbLinkConfig) -> int:
 def transfer_delay_bounds(frame_bytes: int, usb: UsbLinkConfig) -> tuple[float, float]:
     """[min, max) of the capture-to-queue transfer delay.
 
-    The minimum is the pure transmission time of the frame's microframes;
-    buffering can add anything below one full M*U period on top.
+    The minimum is the pure transmission time of the frame's microframes,
+    inf for more of them than a float can count; buffering can add
+    anything below one full M*U period on top.
     """
     if frame_bytes < 1:
         raise ValueError("frame_bytes must be positive")
     n = total_microframes(frame_bytes, usb)
-    lo = n * usb.microframe_ms
+    lo = n * usb.microframe_ms if n <= sys.float_info.max else math.inf
     return lo, lo + usb.urb_period_ms
 
 

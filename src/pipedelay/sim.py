@@ -99,12 +99,12 @@ would have run with the same head and length.
 
 The per-cycle loop passes over frames dropped at a full FIFO, or skipped
 by a queueless variant, with one bisection of the decision instants per
-admission. It reads the instants from lists filled only as far as a
-stretch can reach, so a run solved in blocks converts few of them. Both
-paths record the fetched frames and the cycle lengths as int64 pieces;
-retrieval instants, display ends, drops, queue occupancy, admission
-depths, cycle starts, steady-cycle masks, fetch blocking and the trace
-events are derived from these after the loop.
+admission. It reads the instants from lists filled once per stretch up to
+a reach bounded from its draws, so a run solved in blocks converts few of
+them. Both paths record the fetched frames and the cycle lengths as int64
+pieces; retrieval instants, display ends, drops, queue occupancy,
+admission depths, cycle starts, steady-cycle masks, fetch blocking and
+the trace events are derived from these after the loop.
 
 Stage delays come from six seeded draw streams, one per stage, contended
 and uncontended. Each draws in chunks of 64 values at first, doubling up
@@ -160,16 +160,26 @@ class SimConfig:
             raise ValueError("seed: must be >= 0")
         if self.n_objects < 0:
             raise ValueError("n_objects: must be >= 0")
-        # Arrivals need a capture interval above the USB buffering period,
-        # and jittered captures stay in order only for jitter up to 0.4 C.
+        # Arrivals need a capture interval above the USB buffering period.
         if cycle_ms <= period_ms:
             raise ValueError(f"camera.frame_rate: capture interval {cycle_ms:g} ms must "
                              f"exceed the USB buffering period {period_ms:g} ms")
+        # The clock counts whole ns, so the microframe must be one (to within
+        # the float rounding of its ms value), as `analyze` reads it exactly.
+        u_ns = self.usb.microframe_ms * _MS
+        if not abs(u_ns - round(u_ns, 0)) <= 1e-12 * u_ns:
+            raise ValueError(f"usb.microframe_ms: {u_ns:g} ns is not a whole number of ns")
+        # Jittered captures stay in order only for jitter up to 0.4 C. On the
+        # ns grid captures lie at least floor(C) ns apart (C ns when C is
+        # whole), so a jitter of j ns keeps them in order only while 2j is
+        # below that, that is while 2j + 1 <= C.
         if jitter < 0:
             raise ValueError("capture_jitter_ms: must be >= 0")
         if jitter > 0.4 * cycle_ms:
             raise ValueError(f"capture_jitter_ms: {jitter:g} ms exceeds 0.4 of the "
                              f"{cycle_ms:g} ms capture interval")
+        if 2 * round(jitter * _MS, 0) + 1 > cycle_ms * _MS:
+            raise ValueError(f"capture_jitter_ms: {jitter:g} ms can swap captures on the ns grid")
         if self.object_times_ms is not None:
             obj_ns = np.rint(np.asarray(self.object_times_ms, dtype=np.float64) * _MS)
             if not np.all((obj_ns >= 0) & (obj_ns < self.duration_ms * _MS)):
@@ -297,8 +307,6 @@ def _camera_timeline(cfg: SimConfig, rng: np.random.Generator):
         j = int(round(cfg.capture_jitter_ms * _MS))
         capture = capture + rng.integers(-j, j + 1, n_frames)
         capture[0] = max(capture[0], 0)
-        if np.any(np.diff(capture) <= 0):
-            raise ValueError("capture jitter produced out-of-order captures")
 
     u_ns = int(round(usb.microframe_ms * _MS))
     urb_ns = u_ns * usb.urb_microframes
@@ -369,8 +377,9 @@ def _solve_block(never_binds, decision, delivery, queue_size, theta_ns,
 def _cycles(dec, dlv, n_frames, queue_size, theta_ns, now, ptr, queue, fetch, other, after):
     """Run cycles one by one from the loop state `now`, `ptr` and `queue`
     (changed in place) with the per-cycle draw lists. `dec` and `dlv` list
-    the decision and delivery instants of the frames filled so far, `dec`
-    then with a `_NEVER` sentinel; reading past them raises IndexError.
+    the decision and delivery instants through the first frame decided
+    after every instant the cycles reach, or through a `_NEVER` sentinel
+    (see `_run_cycles`).
     Returns the fetched frames and cycle lengths as lists, `now` and `ptr`
     after them, and the `other` draw of the first cycle that found no frame
     (None while frames are left).
@@ -434,20 +443,31 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
     else from these.
 
     Cycles run in per-cycle stretches (`_cycles`) and verified blocks
-    (`_solve_block`). After each stretch the predictor tries the no-drop
-    guess if the second half of the stretch (at most 64 cycles) fetched
-    consecutive frames, else the fetch-never-binds guess if each of its
-    cycles lasted alpha with the FIFO saturated, else doubles the next
-    stretch. A block keeps only the cycles its checks verify, so the result
-    is the loop's.
+    (`_solve_block`), chosen by the predictor of the module docstring; a
+    block keeps only verified cycles, so the result is the loop's.
+
+    A stretch reads the instants from lists, filled before it runs from the
+    FIFO head (or the next undecided frame) through the first frame decided
+    after `end`, or through the `_NEVER` sentinel. A retrieval waits at most
+    W = max(delivery[0], delivery[k] - decision[k - 1] over k) past its
+    release: a queued head k was decided by the release, and decisions never
+    decrease; a starved head k is the first frame decided after it, so frame
+    k - 1 was decided by it, and releases fall at or after 0. So a cycle
+    lasts at most theta + W + max(f, o) + a, and no release or retrieval of
+    the stretch passes `end`, now plus the sum of these over its cycles.
+    Admissions and bisections stop at the first frame decided after their
+    instant, and a head is decided by its retrieval, so no read passes the
+    fill. A block may leave `ptr` ahead of the loop's by frames decided by
+    the next release (`_solve_block`); the first admission passes over or
+    admits them as the loop did, and the stretch then runs the loop's cycles.
     """
     n_frames = len(decision)
-    sentinelled = None   # decision and delivery with `_NEVER` appended, for the blocks
-    # The per-cycle stretches read the instants from lists. While blocks
-    # solve the run, these hold only the frames a stretch can reach (frames
-    # passed over by a block stay None); once a stretch has doubled, all.
+    # The instants with a `_NEVER` sentinel appended, read by blocks and fills.
+    dec_s, dlv_s = np.append(decision, _NEVER), np.append(delivery, _NEVER)
+    # W, the longest a retrieval waits past its release (see the docstring).
+    wait = int(np.max(delivery[1:] - decision[:-1], initial=delivery[0])) if n_frames else 0
+    # The instants the stretches read, as lists; frames no stretch reads stay None.
     dec, dlv = [], []
-    reach = 16   # frames per cycle of a stretch filled, doubled when short
     queue = deque()
     ptr = now = 0
     heads, lens = [], []
@@ -459,10 +479,8 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
         while i < len(fetch):
             if guess is not None:
                 j = min(len(fetch), i + window)
-                if sentinelled is None:
-                    sentinelled = np.append(decision, _NEVER), np.append(delivery, _NEVER)
                 h, c, now, ptr, queue = _solve_block(
-                    guess, *sentinelled, queue_size, theta_ns, now, ptr, queue,
+                    guess, dec_s, dlv_s, queue_size, theta_ns, now, ptr, queue,
                     fetch[i:j], other[i:j], after[i:j])
                 heads.append(h)
                 lens.append(c)
@@ -474,32 +492,20 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
                     stretch = min(2 * stretch, _CHUNK)
                 guess, window = None, _FIRST_CHUNK
             j = min(len(fetch), i + stretch)
-            draws_t = fetch[i:j].tolist(), other[i:j].tolist(), after[i:j].tolist()
-            while True:
-                top = n_frames if stretch > _FIRST_CHUNK else min(n_frames, ptr + reach * (j - i))
-                if top > len(dlv):
-                    low = max(len(dlv), queue[0] if queue else ptr)
-                    if top == n_frames and 5 * low < n_frames:
-                        # Converting the few frames below `low` again costs
-                        # less than copying the rest into the lists.
-                        dec, dlv = decision.tolist(), delivery.tolist()
-                    else:
-                        for filled, source in ((dec, decision), (dlv, delivery)):
-                            filled += [None] * (low - len(filled))
-                            filled += source[low:top].tolist()
-                    if top == n_frames:
-                        dec.append(_NEVER)
-                stepped = deque(queue)
-                try:
-                    h, c, now_t, ptr_t, last = _cycles(dec, dlv, n_frames, queue_size, theta_ns,
-                                                       now, ptr, stepped, *draws_t)
-                    if ptr_t < len(dec):   # else a bisection may have stopped short
-                        break
-                except IndexError:
-                    if len(dlv) == n_frames:
-                        raise
-                reach *= 2
-            now, ptr, queue = now_t, ptr_t, stepped
+            f, o, a = fetch[i:j].tolist(), other[i:j].tolist(), after[i:j].tolist()
+            # Terms below 2^50 ns sum exactly in int64 over a stretch's at
+            # most 4096 cycles; with a longer one the fill runs to the sentinel.
+            cyc = np.maximum(fetch[i:j], other[i:j]) + after[i:j]
+            end = now + (j - i) * (theta_ns + wait) + int(cyc.sum()) if cyc.max() < 1 << 50 else _NEVER
+            # Fill through the first frame decided after `end`, or the sentinel.
+            top = int(np.searchsorted(decision, min(end, _NEVER), "right")) + 1
+            if top > len(dec):
+                low = max(len(dec), queue[0] if queue else ptr)
+                for filled, source in ((dec, dec_s), (dlv, dlv_s)):
+                    filled += [None] * (low - len(filled))
+                    filled += source[low:top].tolist()
+            h, c, now, ptr, last = _cycles(dec, dlv, n_frames, queue_size, theta_ns,
+                                           now, ptr, queue, f, o, a)
             heads.append(np.array(h, dtype=np.int64))
             lens.append(np.array(c, dtype=np.int64))
             if last is not None:

@@ -642,6 +642,23 @@ _BAD_SCENARIOS = {
                       "[usb]\nprotocol_overhead_microframes = 1000000000000000000"),
     "huge_width": ("preset = c930e-640x480-30",
                    "preset = c930e-640x480-30\nwidth = 1000000000000000"),
+    # A microframe the ns clock cannot count: 0.6 ns, and 0.1 ns, which rounds to 0.
+    "sub_ns_microframe": ("preset = c930e-640x480-30", "preset = c930e-640x480-30\n\n"
+                          "[usb]\nmicroframe_ms = 0.0000006"),
+    "tenth_ns_microframe": ("preset = c930e-640x480-30", "preset = c930e-640x480-30\n\n"
+                            "[usb]\nmicroframe_ms = 1e-07"),
+    # Integers too large for a float, alone or as a product; the zero_slack
+    # variant computes its auto theta from the transfer.
+    "width_1e400": ("variants = vanilla\n\n[camera]\npreset = c930e-640x480-30",
+                    "variants = vanilla, zero_slack\n\n[camera]\npreset = c930e-640x480-30\n"
+                    f"width = 1{'0' * 400}"),
+    "area_1e400": ("variants = vanilla\n\n[camera]\npreset = c930e-640x480-30",
+                   "variants = vanilla, zero_slack\n\n[camera]\npreset = c930e-640x480-30\n"
+                   f"width = 1{'0' * 200}\nheight = 1{'0' * 200}"),
+    "urb_1e400": ("preset = c930e-640x480-30", "preset = c930e-640x480-30\n\n"
+                  f"[usb]\nurb_microframes = 1{'0' * 400}"),
+    "overhead_1e400": ("preset = c930e-640x480-30", "preset = c930e-640x480-30\n\n"
+                       f"[usb]\nprotocol_overhead_microframes = 1{'0' * 400}"),
     "csv_not_a_number": ("preset = xavier-yolov3-608",
                          "preset = xavier-yolov3-608\n\n[profile.fetch_exec]\ncsv = abc.csv"),
     "csv_not_utf8": ("preset = xavier-yolov3-608",
@@ -656,6 +673,30 @@ _BAD_FILES = {
     "latin1.csv": b"5\n\xff\n",
     "long.csv": b"5\n" + b"1" * 200_000 + b"\n",   # beyond the csv module's field limit
     "not_utf8.ini": b"[scenario]\nname = \xff\n" + FAST_SCENARIO.encode()[len("[scenario]\n"):],
+    # 2 ns captures with 0.8 ns of jitter, within 0.4 C, but 1 ns on the
+    # clock's grid: two captures could swap.
+    "grid_jitter.ini": b"""\
+[scenario]
+variants = vanilla
+
+[camera]
+frame_rate = 500000000
+width = 8
+height = 8
+bits_per_pixel = 8
+
+[usb]
+bytes_per_microframe = 512
+urb_microframes = 1
+microframe_ms = 0.000001
+
+[profile]
+preset = xavier-yolov3-608
+
+[sim]
+duration_ms = 0.001
+capture_jitter_ms = 0.0000008
+""",
 }
 
 
@@ -724,6 +765,16 @@ class TestCliBadValues:
         (["analyze", "{tmp}/negative_theta.ini"], "[zero_slack] theta: must be >= 0"),
         (["analyze", "{tmp}/huge_overhead.ini"], "[camera]/[usb] frame transfer: 1.25e+17 ms"),
         (["analyze", "{tmp}/huge_width.ini"], "[camera]/[usb] frame transfer: 4.46429e+13 ms"),
+        (["validate", "{tmp}/sub_ns_microframe.ini"], "[usb] microframe_ms:"),
+        (["analyze", "{tmp}/sub_ns_microframe.ini"], "[usb] microframe_ms:"),
+        (["simulate", "{tmp}/tenth_ns_microframe.ini"], "[usb] microframe_ms:"),
+        (["simulate", "{tmp}/grid_jitter.ini"], "[sim] capture_jitter_ms:"),
+        (["analyze", "{tmp}/width_1e400.ini"], "[camera]/[usb] frame transfer:"),
+        (["simulate", "{tmp}/width_1e400.ini"], "[camera]/[usb] frame transfer:"),
+        (["analyze", "{tmp}/area_1e400.ini"], "[camera]/[usb] frame transfer:"),
+        (["simulate", "{tmp}/area_1e400.ini"], "[camera]/[usb] frame transfer:"),
+        (["analyze", "{tmp}/urb_1e400.ini"], "[usb] urb_microframes:"),
+        (["simulate", "{tmp}/overhead_1e400.ini"], "[camera]/[usb] frame transfer:"),
     ])
     def test_exits_2_naming_the_culprit(self, argv, culprit, bad_scenarios, capsys):
         # In process: any exception other than argparse's exit fails the test.
@@ -779,7 +830,7 @@ class TestCliModule:
 
 # -- fuzzing --------------------------------------------------------------------
 
-_TOKENS = ("nan", "-1", "", "1e9", "0..", "0", "2", "inf", "0..2", "1,2", "x")
+_TOKENS = ("nan", "-1", "", "1e9", "0..", "0", "2", "inf", "0..2", "1,2", "x", "1e-07")
 
 
 def _scenario_files(tmp: str, data) -> list[str]:

@@ -405,7 +405,9 @@ class TestConfigValidation:
         (dict(seed=-1), "seed"),
         (dict(usb=dataclasses.replace(MICRO_USB, urb_microframes=80)), "camera.frame_rate"),
         (dict(usb=dataclasses.replace(MICRO_USB, urb_microframes=100)), "camera.frame_rate"),
-    ], ids=["negative_seed", "interval_at_buffering_period", "interval_below_buffering_period"])
+        (dict(usb=dataclasses.replace(MICRO_USB, microframe_ms=6e-7)), "usb.microframe_ms"),
+    ], ids=["negative_seed", "interval_at_buffering_period", "interval_below_buffering_period",
+            "microframe_not_whole_ns"])
     def test_rejects_at_construction_naming_the_field(self, overrides, field):
         with pytest.raises(ValueError, match=rf"^{field}: "):
             micro_config(**overrides)
@@ -420,6 +422,15 @@ class TestConfigValidation:
         profile = dataclasses.replace(MICRO_PROFILE, **{field: DelayDist.constant(value)})
         with pytest.raises(ValueError, match=f"profile.{field}: "):
             micro_config(profile=profile)
+
+    @pytest.mark.parametrize("variant", [Vanilla(1), OnDemand(), ContentionFree()])
+    def test_stage_near_the_clock_runs(self, variant):
+        # A 5e11 ms fetch fits the clock on a one-frame run, but a draw chunk
+        # of such cycles sums past int64: the stretch's reach must not wrap.
+        profile = dataclasses.replace(MICRO_PROFILE, fetch_exec=DelayDist.constant(5e11))
+        r = run(micro_config(profile=profile, variant=variant, duration_ms=1.0,
+                             object_times_ms=None))
+        assert r.frames_fetched == r.frames_captured == 1
 
     def test_capture_jitter_preserves_order(self):
         r = run(micro_config(capture_jitter_ms=1.0, object_times_ms=None))
@@ -943,6 +954,30 @@ class TestBlockSolver:
         assert share.pop("default.contention_free") == 0
         assert share.pop("case3.vanilla") < 0.05
         assert min(share.values()) > 0.9, share
+
+
+class TestRetrievalWait:
+    """The per-cycle loop fills its instant lists as far as a bound lets a
+    stretch reach (see `sim._run_cycles`), built on W = max(delivery[0],
+    delivery[k] - decision[k - 1] over k): no retrieval waits longer than W
+    past its release, under the draws or an extremal stage schedule."""
+
+    def test_wait_past_release_is_within_w(self):
+        rng = np.random.default_rng(123)
+        for i in range(12):
+            cam, usb, profile, _ = _random_scenario(rng, i)
+            for kind in sorted(_DIGEST_VARIANTS):
+                for schedule in _SCHEDULES:
+                    cfg = SimConfig(
+                        camera=cam, usb=usb, profile=profile,
+                        variant=_DIGEST_VARIANTS[kind](float(rng.uniform(0.0, 2.0)) * cam.cycle_ms),
+                        duration_ms=300 * cam.cycle_ms, seed=i, n_objects=0,
+                        capture_jitter_ms=float(rng.choice([0.0, 0.2, 0.39])) * cam.cycle_ms)
+                    r = _simulate(cfg, _schedule_streams(profile, schedule, i, 64))
+                    decision, delivery, wait = (np.rint(ms * _MS).astype(np.int64) for ms in
+                                                (r.decision_ms, r.delivery_ms, r.b_fetch_ms))
+                    bound = np.max(delivery[1:] - decision[:-1], initial=delivery[0])
+                    assert wait.max(initial=0) <= bound, (i, kind, schedule)
 
 
 # -- bookkeeping against the event trace -----------------------------------------
