@@ -31,6 +31,9 @@ class CameraConfig:
     def __post_init__(self):
         if not (self.frame_rate > 0):
             raise ValueError("frame_rate: must be positive")
+        if not math.isfinite(self.cycle_ms):
+            raise ValueError(f"frame_rate: the capture interval 1000 / {self.frame_rate:g} "
+                             "is not a finite number of ms")
         if self.width < 1:
             raise ValueError("width: must be positive")
         if self.height < 1:

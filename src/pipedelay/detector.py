@@ -12,6 +12,7 @@ terms are added whenever a stage shares its window with others.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .camera import CameraConfig, UsbLinkConfig, transfer_delay_bounds, frame_size
@@ -73,6 +74,8 @@ class Vanilla:
     def __post_init__(self):
         if self.queue_size < 0:
             raise ValueError("queue_size: must be >= 0")
+        if self.queue_size > sys.float_info.max:
+            raise ValueError("queue_size: too large for a float")
 
 
 @dataclass(frozen=True)

@@ -659,6 +659,12 @@ _BAD_SCENARIOS = {
                   f"[usb]\nurb_microframes = 1{'0' * 400}"),
     "overhead_1e400": ("preset = c930e-640x480-30", "preset = c930e-640x480-30\n\n"
                        f"[usb]\nprotocol_overhead_microframes = 1{'0' * 400}"),
+    # A capture interval past a float's range, a queue size a float cannot
+    # hold and more objects than an array can.
+    "frame_rate_1e-310": ("preset = c930e-640x480-30",
+                          "preset = c930e-640x480-30\nframe_rate = 1e-310"),
+    "queue_1e400": ("size = 2", f"size = 1{'0' * 400}"),
+    "objects_1e20": ("objects = 30", "objects = 100000000000000000000"),
     "csv_not_a_number": ("preset = xavier-yolov3-608",
                          "preset = xavier-yolov3-608\n\n[profile.fetch_exec]\ncsv = abc.csv"),
     "csv_not_utf8": ("preset = xavier-yolov3-608",
@@ -775,6 +781,13 @@ class TestCliBadValues:
         (["simulate", "{tmp}/area_1e400.ini"], "[camera]/[usb] frame transfer:"),
         (["analyze", "{tmp}/urb_1e400.ini"], "[usb] urb_microframes:"),
         (["simulate", "{tmp}/overhead_1e400.ini"], "[camera]/[usb] frame transfer:"),
+        (["analyze", "{tmp}/frame_rate_1e-310.ini"], "[camera] frame_rate:"),
+        (["validate", "{tmp}/frame_rate_1e-310.ini"], "[camera] frame_rate:"),
+        (["simulate", "{tmp}/frame_rate_1e-310.ini"], "[camera] frame_rate:"),
+        (["analyze", "{tmp}/queue_1e400.ini"], "[queue] size:"),
+        (["validate", "{tmp}/queue_1e400.ini"], "[queue] size:"),
+        (["simulate", "{tmp}/objects_1e20.ini"], "[sim] objects:"),
+        (["validate", "{tmp}/objects_1e20.ini"], "[sim] objects:"),
     ])
     def test_exits_2_naming_the_culprit(self, argv, culprit, bad_scenarios, capsys):
         # In process: any exception other than argparse's exit fails the test.

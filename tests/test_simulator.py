@@ -11,7 +11,7 @@ are phrased relative to it.
 
 import dataclasses
 import hashlib
-from collections import Counter
+from collections import Counter, deque
 from itertools import count, islice
 from unittest import mock
 
@@ -768,7 +768,8 @@ PINNED_SHORT = {
 # Runs whose verified block prefixes end at each kind of boundary (see
 # `sim._solve_block`), named by it: a dropped or a skipped frame, a fetch
 # that finds the FIFO empty or waits on its head, a FIFO that stops filling,
-# and the last frame; runs shorter than the first 64-cycle draw chunk, which
+# and the last frame; admission-walk blocks cut by the round cap at a drop
+# and at a starved fetch; runs shorter than the first 64-cycle draw chunk, which
 # solve no block; 0 ns cycles; and shared decision instants. Each entry is
 # (gate scenario index from seed 5, variant, run length in capture
 # intervals).
@@ -780,6 +781,8 @@ _BLOCK_RUNS = {
     "starved.vanilla1": (33, Vanilla(1), 300),
     "waits.vanilla2": (5, Vanilla(2), 600),
     "unsaturated.vanilla4": (13, Vanilla(4), 300),
+    "walk_drop.vanilla1": (20, Vanilla(1), 300),
+    "walk_starved.vanilla1": (79, Vanilla(1), 300),
     "end.vanilla1": (68, Vanilla(1), 300),
     "end.on_demand": (106, OnDemand(), 300),
     "end.zero_slack": (106, ZeroSlack(12.5), 300),
@@ -809,7 +812,7 @@ def _pinned_block_runs():
 
 
 # Digests of every SimResult field, recorded at commit 9409505, before the
-# block solver.
+# block solver; the walk_* runs at commit 66041ce, before the admission walk.
 PINNED_BLOCKS = {
     "drop.vanilla1": "879856201e3ed634",
     "drop.vanilla4": "3ae42fae4e4b3f9b",
@@ -818,6 +821,8 @@ PINNED_BLOCKS = {
     "starved.vanilla1": "b1cf6fc8a46502b2",
     "waits.vanilla2": "99c2255ff2bb7150",
     "unsaturated.vanilla4": "5fecb323a634f398",
+    "walk_drop.vanilla1": "c1d9b4bc50000c20",
+    "walk_starved.vanilla1": "13a913bf7e0ca892",
     "end.vanilla1": "e1fb123578063932",
     "end.on_demand": "00ad520c896242a6",
     "end.zero_slack": "c424979b9a64f079",
@@ -875,9 +880,10 @@ class TestPinnedRuns:
 # -- block solver ------------------------------------------------------------------
 
 
-def _solve_nothing(never_binds, decision, delivery, queue_size, theta_ns, now, ptr, queue,
+def _solve_nothing(guess, decision, delivery, queue_size, theta_ns, now, ptr, queue,
                    *draws):
-    """A block solver that verifies no cycle, so the per-cycle loop runs alone."""
+    """A block solver that verifies no cycle under any of the three guesses,
+    so the per-cycle loop runs alone."""
     empty = np.zeros(0, dtype=np.int64)
     return empty, empty, now, ptr, queue
 
@@ -918,6 +924,10 @@ class TestBlockSolver:
     # one buffer: the no-drop guess must check the retrieval instant.
     @example(seed=1224932293, kind="vanilla1", schedule="min", chunk=64, cycles=1929,
              theta=0.0, jitter=0.39)
+    # A FIFO of one buffer that drops 359 frames and starves in 160 cycles,
+    # most of them solved by admission-walk blocks.
+    @example(seed=24, kind="vanilla1", schedule="draws", chunk=64, cycles=1000,
+             theta=0.0, jitter=0.0)
     def test_block_path_matches_per_cycle_loop(self, seed, kind, schedule, chunk, cycles,
                                                theta, jitter):
         cam, usb, profile, _ = _random_scenario(np.random.default_rng(seed), 0)
@@ -932,9 +942,11 @@ class TestBlockSolver:
         assert block.cycle_times.tolist() == loop.cycle_times.tolist()
 
     def test_predictor_routes_presets(self, monkeypatch):
-        """Blocks solve nearly every cycle of the detector-limited and the
-        arrival-limited presets, none of contention_free, whose fetch waits
-        on a skipped-to frame, and few of the mixed case3."""
+        """Blocks solve nearly every cycle of the detector-limited, the
+        arrival-limited and the mixed case3 presets (the last 97.8% of them,
+        through the admission walk), and none of contention_free: its fetch
+        waits on a skipped-to frame in every cycle, which fits no guess, and
+        the walk needs a FIFO."""
         solved = Counter()
         solve = sim._solve_block
 
@@ -952,8 +964,24 @@ class TestBlockSolver:
                 r = run(dataclasses.replace(s.sim_config(v), duration_ms=600000.0))
                 share[key] = solved[key] / len(r.cycle_times)
         assert share.pop("default.contention_free") == 0
-        assert share.pop("case3.vanilla") < 0.05
         assert min(share.values()) > 0.9, share
+
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_walk_block_shorter_than_the_fifo(self, w):
+        """A walk block at the end of a draw chunk can have fewer cycles than
+        the FIFO holds frames; it keeps the loop's cycles and state."""
+        decision = np.arange(1, 21, dtype=np.int64) * 10 * _MS
+        dec_s, dlv_s = (np.append(x, sim._NEVER) for x in (decision, decision + 5 * _MS))
+        draws = [np.full(w, _MS), np.full(w, 25 * _MS), np.zeros(w, dtype=np.int64)]
+        block = sim._solve_block("walk", dec_s, dlv_s, 4, 0, 60 * _MS, 5, deque([2, 3, 4]),
+                                 *draws)
+        loop_queue = deque([2, 3, 4])
+        heads, lens, now, ptr, _ = sim._cycles(dec_s.tolist(), dlv_s.tolist(), 20, 4, 0,
+                                               60 * _MS, 5, loop_queue,
+                                               *(d.tolist() for d in draws))
+        assert (block[0].tolist(), block[1].tolist(), block[2], block[3], list(block[4])) == (
+            heads, lens, now, ptr, list(loop_queue))
 
 
 class TestRetrievalWait:
