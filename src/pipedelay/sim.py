@@ -65,56 +65,44 @@ of alpha_0 .. alpha_{n-1}, t_n = S_n + max(t_0, max over j < n of
 beta_j - S_{j+1}), one cumsum and one maximum.accumulate. The arithmetic
 is int64 ns throughout, so the cycle lengths are the loop's, bit for bit.
 The heads depend on t, so the block path guesses them, solves, checks the
-guess against the decision instants and keeps the longest verified
-prefix; the cycle that fails, and the run's end, go through the per-cycle
-loop. There are three guesses:
+guess and keeps the longest verified prefix; the cycle that fails, and the
+run's end, go through the per-cycle loop. There are two guesses:
 
 - The fetch never binds (detector-limited runs), so t = t_0 + S. With
   Q = 0 a cycle takes the first frame decided after its release, and the
-  check is beta_n <= t_n + alpha_n. From a saturated FIFO (Q - 1 frames
-  held after each retrieval) it takes the queued frames, then the first
-  frame decided after each previous release; the checks are that each
-  (release_{n-1}, release_n] holds a decision, so the FIFO refills, and
-  that delivery[h_n] <= release_n, so the fetch never waits and every
-  other frame decided by the release is dropped there.
-- No frame is dropped or skipped (arrival-limited and frame-locked runs):
-  the queued frames, then consecutive ones, with t the max-plus prefix.
-  With a FIFO, the frames decided by each retrieval instant must fit in
-  it: searchsorted(decision, deq_n, "right") <= ptr + Q - len(queue) + n.
-  Without one, no frame may be decided by a release before the cycle's
-  head is: searchsorted(decision, release_n, "right") <= h_n.
-- The admission walk (Q >= 1; runs whose FIFO fills, drops, drains and
-  starves in turn). With the retrieval instants deq fixed, the FIFO
-  occupancy steps +1 at each decision and -1 at each retrieval, clipped at
-  Q, where a clipped step is a drop: Lindley's recursion (Lindley, Proc.
-  Camb. Phil. Soc. 48, 1952), one cumsum and one maximum.accumulate. A
-  frame decided at a retrieval instant still finds that retrieval's head
-  in its buffer, so it counts the retrievals strictly before it. The heads
-  are the queued frames, then the admitted ones in order. Starting from
-  the no-drop heads, a block solves t from the heads, the heads from the
-  walk at deq_n = max(delivery[h_n], t_n + theta), and repeats until they
-  stop changing, for at most `_WALK_ROUNDS` rounds. It keeps the prefix on
-  which the walk's heads equal the heads it solved t from. That prefix is
-  the loop's by causality: head n depends only on the heads before it,
-  through t_0 .. t_n and deq_0 .. deq_{n-1}, because deq never decreases,
-  so no later retrieval falls strictly before a frame the loop decides on
-  by cycle n (see `_solve_block`).
+  check is beta_n <= t_n + alpha_n. With a FIFO each retrieval falls at
+  its release, and from a saturated one (Q - 1 frames held after each
+  retrieval) a cycle takes the queued frames, then the first frame decided
+  after each previous release.
+- No frame is dropped or skipped (arrival-limited and frame-locked runs,
+  and FIFO runs that drop and starve in turn): the queued frames, then
+  consecutive ones, with t the max-plus prefix. With Q = 0 the check is
+  that no frame is decided by a release before the cycle's head is:
+  searchsorted(decision, release_n, "right") <= h_n.
+
+With a FIFO (Q >= 1) a guess only gives the starting point of the one
+verifier, the admission walk. With the retrieval instants deq fixed, the
+FIFO occupancy steps +1 at each decision and -1 at each retrieval, clipped
+at Q, where a clipped step is a drop: Lindley's recursion (Lindley, Proc.
+Camb. Phil. Soc. 48, 1952), one running maximum over the retrievals. A
+block iterates heads -> t -> deq_n = max(delivery[h_n], t_n + theta) ->
+the walk's heads, for at most `_WALK_ROUNDS` rounds, and keeps the prefix
+on which the walk returns the heads t was solved from. Whatever the
+starting point, that prefix is the loop's by causality (see `_solve_block`).
 
 A predictor picks the path. After each per-cycle stretch it reads the
 stretch's second half, at most its last 64 cycles: consecutive heads point
 to the no-drop guess, and cycles that all lasted alpha (their sum is the
 alpha sum, as no cycle is shorter) with the FIFO as the saturated guess
 needs it point to the fetch-never-binds guess. With a FIFO, any other
-stretch points to the admission walk, and so does a saturated-looking one
-once a fetch-never-binds block of the run has failed within 32 cycles, as
-in the mixed regime, where the FIFO saturates between starved cycles.
-Without a FIFO the next stretch doubles instead, up to 4096 cycles. A
-speculation window starts at 64 cycles and doubles while its guess
-verifies in full, which also sets the stretch back to 64; a window that
-fails within 32 cycles doubles the stretch. contention_free, whose every
-fetch waits on the frame it skipped to, stays per-cycle almost entirely.
-Like the draw schedule, the path never changes a result: every cycle a
-block keeps is one the loop would have run with the same head and length.
+stretch points to the no-drop guess too; without one the next stretch
+doubles instead, up to 4096 cycles. A speculation window starts at 64
+cycles and doubles while its guess verifies in full, which also sets the
+stretch back to 64; a window that fails within 32 cycles doubles the
+stretch. contention_free, whose every fetch waits on the frame it skipped
+to, stays per-cycle almost entirely. Like the draw schedule, the path never
+changes a result: every cycle a block keeps is one the loop would have run
+with the same head and length.
 
 The per-cycle loop passes over frames dropped at a full FIFO, or skipped
 by a queueless variant, with one bisection of the decision instants per
@@ -148,7 +136,7 @@ _MS = 1_000_000  # ns per ms
 # A stream's draw chunks double from _FIRST_CHUNK up to _CHUNK values.
 _FIRST_CHUNK = 64
 _CHUNK = 4096
-# The admission-walk guess of a block iterates at most this many rounds.
+# An admission-walk block iterates at most this many rounds.
 _WALK_ROUNDS = 6
 _NEVER = 1 << 62  # ns, later than any event of a run
 # Objects are injected uniformly over this leading fraction of the run so
@@ -344,13 +332,11 @@ def _camera_timeline(cfg: SimConfig, rng: np.random.Generator):
     return capture, decision, delivery
 
 
-def _max_plus(now, alpha_sum, heads, delivery, fetch, after):
-    """The starts t_0 .. t_w of the cycles fetching `heads`, from the alpha
-    sums S_0 .. S_w: t_n = S_n + max(t_0, max over j < n of beta_j - S_{j+1})."""
-    lift = np.empty(len(alpha_sum), dtype=np.int64)
-    lift[0] = now
-    lift[1:] = delivery[heads] + fetch + after - alpha_sum[1:]
-    return alpha_sum + np.maximum.accumulate(lift)
+def _max_plus(now, alpha_sum, arrival, lag):
+    """The starts t_0 .. t_w of the cycles whose heads arrive at `arrival`,
+    from the alpha sums S_0 .. S_w: t_n = S_n + max(t_0, max over j < n of
+    beta_j - S_{j+1}), where beta_j - S_{j+1} = arrival_j + lag_j."""
+    return alpha_sum + np.maximum.accumulate(np.concatenate(([now], arrival + lag)))
 
 
 def _admitted(decision, dequeue, queue_size, queued, ptr):
@@ -360,112 +346,124 @@ def _admitted(decision, dequeue, queue_size, queued, ptr):
     by the last of them.
 
     A frame decided at a retrieval instant still finds that retrieval's
-    head in its buffer, so frame k (counted from 1) sees the r_k retrievals
-    strictly before it. The room left after it, Z_k = max(0, Z_{k-1} + r_k -
-    r_{k-1} - 1) from Z_0 = Q - len(queued), is Lindley's recursion: with
-    s_k = r_k - k, Z_k = s_k + max(Z_0, max over j <= k of -s_j). Frame k
-    finds no room, and is dropped, exactly where that running maximum rises.
+    head in its buffer, so frame k (counted from 1 at `ptr`) sees the r_k
+    retrievals strictly before it. The room left after it, Z_k = max(0,
+    Z_{k-1} + r_k - r_{k-1} - 1) from Z_0 = Q - len(queued), is Lindley's
+    recursion: Z_k = s_k + max(Z_0, max over j <= k of -s_j) with s_k =
+    r_k - k, so frame k finds no room, and is dropped, exactly where k - r_k
+    exceeds the maximum before it.
+
+    Solved per retrieval: let E_n count the frames from `ptr` decided by
+    dequeue[n], and E_{-1} = 0. The frames k in (E_{n-1}, E_n] see r_k = n,
+    so k - r_k rises by 1 per frame within them and they admit a prefix:
+    with R_n = max(R_{n-1}, E_n - n) from R_{-1} = Z_0, interval n admits
+    the frames k in (E_{n-1}, min(E_n, R_{n-1} + n)].
     """
-    top = int(np.searchsorted(decision, dequeue[-1], "right"))
-    walk = np.arange(1, top - ptr + 1) - np.searchsorted(dequeue, decision[ptr:top], "left")
-    rise = np.maximum.accumulate(np.concatenate(([queue_size - len(queued)], walk)))
-    return np.concatenate((queued, ptr + np.flatnonzero(rise[1:] == rise[:-1])))
+    ends = np.searchsorted(decision[ptr:], dequeue, "right")
+    n = np.arange(len(dequeue))
+    room = np.maximum.accumulate(np.concatenate(([queue_size - len(queued)], ends - n)))
+    first = np.concatenate(([0], ends[:-1]))
+    count = np.minimum(ends, room[:-1] + n) - first
+    frames = np.arange(count.sum()) + np.repeat(ptr + first - np.cumsum(count) + count, count)
+    return np.concatenate((queued, frames))
 
 
 def _solve_block(guess, decision, delivery, queue_size, theta_ns,
                  now, ptr, queue, fetch, other, after):
     """Solve the next cycles as one block under one guess of their heads
-    (see the module docstring) and keep the prefix the checks verify.
+    (see the module docstring) and keep the prefix that verifies.
 
-    `guess` is "never_binds" (the fetch never binds; with a FIFO, one that
-    holds Q - 1 frames), "no_drop" (no frame is dropped or skipped) or
-    "walk" (the admission walk, Q >= 1 only). `decision` and `delivery` end
-    with a `_NEVER` sentinel; `now`, `ptr` and `queue` are the loop state
-    before the block, and `fetch`, `other` and `after` are its cycles'
-    draws. Returns the verified prefix's fetched frames and cycle lengths as
-    int64 arrays and the loop state after it. After the first two guesses
-    that state may differ from the loop's only by frames decided by the
-    next release, between the two `ptr`s: the next admission passes over or
-    admits them just as the loop did.
+    `guess` is "never_binds" (the fetch never binds) or "no_drop" (no frame
+    is dropped or skipped).
+    `decision` and `delivery` end with a `_NEVER` sentinel; `now`, `ptr` and
+    `queue` are the loop state before the block, and `fetch`, `other` and
+    `after` are its cycles' draws. Returns the verified prefix's fetched
+    frames and cycle lengths as int64 arrays and the loop state after it.
 
-    The walk starts from the no-drop heads H. Each round solves t from H,
-    sets deq_n = max(delivery[H_n], t_n + theta) and takes the new heads N
-    from the admission walk (`_admitted`) at those retrievals, followed by
-    consecutive frames where it admits fewer than the block's cycles; it
-    repeats with H = N until N = H or for `_WALK_ROUNDS` rounds, and keeps
-    the prefix on which the walk's own heads equal H and lie before the
-    sentinel. On that prefix every head is the loop's, by induction on n:
-    let heads 0 .. n-1 of H be the loop's. Then t_0 .. t_n and deq_0 ..
-    deq_{n-1} are the loop's, and any guess gives deq_m >= t_n + theta =
-    release_n for m >= n, as deq never decreases. The loop's head n is the
-    FIFO head, decided by release_n, or, with the FIFO empty at release_n,
-    the first frame decided after it. Every frame up to the first case's
-    head is decided by release_n, so it sees no retrieval m >= n and the
-    walk admits it as the loop did. In the second case the frames before
-    the head are those, and the head itself finds the FIFO empty but for
-    possibly earlier retrievals, which only add room, so the walk admits it
-    too. Either way N_n is the loop's head n, and H_n = N_n on the prefix.
-    The state after p kept cycles is the loop's exactly: every frame decided
-    by deq_{p-1} is passed, as the loop's deq-admission passes it, and the
-    FIFO holds the admitted frames after head p - 1 decided by then, which
-    see no retrieval m >= p.
+    Without a FIFO each guess has its own check, and the state after the
+    prefix may differ from the loop's only by frames decided by the next
+    release, between the two `ptr`s: the next admission passes over them
+    just as the loop did.
+
+    With a FIFO the admission walk (`_admitted`) is the one verifier. Its
+    heads at retrievals deq are the admitted frames, followed by consecutive
+    frames where it admits fewer than the block's cycles. The first heads H
+    are the no-drop guess, or, when the fetch never binds, the walk's heads
+    at the releases t_0 + S + theta. Each round solves t from H, sets deq_n =
+    max(delivery[H_n], t_n + theta) and takes the walk's heads N there (or
+    stops if deq did not change); it repeats with H = N until N = H or for
+    `_WALK_ROUNDS` rounds, and keeps the prefix on which the walk's own
+    heads equal H and lie before the sentinel. Whatever H is, deq never
+    decreases, as t_{n+1} >= max(t_n + theta, delivery[H_n]) >= deq_n.
+    On the prefix every head is the loop's, by induction on n: let heads
+    0 .. n-1 of H be the loop's. Then t_0 .. t_n and deq_0 .. deq_{n-1} are
+    the loop's, and deq_m >= t_n + theta = release_n for m >= n. The loop's
+    head n is the FIFO head, decided by release_n, or, with the FIFO empty
+    at release_n, the first frame decided after it. Every frame up to the
+    first case's head is decided by release_n, so it sees no retrieval
+    m >= n and the walk admits it as the loop did. In the second case the
+    frames before the head are those, and the head itself finds the FIFO
+    empty but for possibly earlier retrievals, which only add room, so the
+    walk admits it too. Either way N_n is the loop's head n, and H_n = N_n
+    on the prefix. The state after p kept cycles is the loop's exactly:
+    every frame decided by deq_{p-1} is passed, as the loop's
+    deq-admission passes it, and the FIFO holds the admitted frames after
+    head p - 1 decided by then, which see no retrieval m >= p.
     """
     held = len(queue)
     queued = np.fromiter(queue, np.int64, held)
     n_frames = len(delivery) - 1
-    w = len(fetch) if guess == "never_binds" else min(len(fetch), n_frames - ptr + held)
-    fetch, after = fetch[:w], after[:w]
-    start = np.zeros(w + 1, dtype=np.int64)
-    np.cumsum(np.maximum(fetch + theta_ns, other[:w]) + after, out=start[1:])
-    if guess == "never_binds":
-        # The fetch never binds, so t = t0 + cumsum(alpha). A cycle takes the
-        # first frame decided after its release (Q = 0) or, from a saturated
-        # FIFO, the frame queued first after the release before it.
-        start += now
-        release = start[:w] + theta_ns
-        taken = np.searchsorted(decision, start + theta_ns, "right")
-        if queue_size:
-            taken = np.concatenate(([ptr], taken[:w]))
-        line = np.concatenate((queued, taken))
-        heads = line[:w]
-        if queue_size:
-            ok = (decision[taken[:w]] <= release) & (delivery[heads] <= release)
+    alpha_sum = np.zeros(len(fetch) + 1, dtype=np.int64)
+    np.cumsum(np.maximum(fetch + theta_ns, other) + after, out=alpha_sum[1:])
+    # As t_n >= t_0 + S_n, every frame is decided by the release of cycle
+    # `drained` or earlier, and from then on only the Q queued frames are left.
+    drained = int(np.searchsorted(alpha_sum, decision[n_frames - 1] - now - theta_ns))
+    w = min(len(fetch), n_frames - ptr + held, drained + queue_size)
+    fetch, after, alpha_sum = fetch[:w], after[:w], alpha_sum[:w + 1]
+    lag = fetch + after - alpha_sum[1:]  # beta_n - S_{n+1} - delivery[h_n]
+    if not queue_size:
+        if guess == "never_binds":
+            # t = t_0 + S, and a cycle takes the first frame decided after
+            # its release.
+            start = now + alpha_sum
+            line = np.searchsorted(decision, start + theta_ns, "right")
+            ok = delivery[line[:w]] + lag <= now
         else:
-            ok = delivery[heads] + fetch + after <= start[1:]
-    elif guess == "no_drop" or not w:
-        # No frame is dropped or skipped: the queued frames, then consecutive
-        # ones. t is the max-plus prefix of alpha and beta. A block of no
-        # cycle takes this path under every guess.
-        line = np.concatenate((queued, ptr + np.arange(max(w - held, 0) + 1)))
-        heads = line[:w]
-        start = _max_plus(now, start, heads, delivery, fetch, after)
-        release = start[:w] + theta_ns
-        instant = np.maximum(delivery[heads], release) if queue_size else release
-        ok = np.searchsorted(decision, instant, "right") <= ptr - held + queue_size + np.arange(w)
-    else:
-        # The admission walk, iterated from the no-drop heads; `line` holds
-        # the walk's heads, and `heads` the guess they are checked against.
-        alpha_sum, heads = start, np.concatenate((queued, ptr + np.arange(w - held)))[:w]
-        for _ in range(_WALK_ROUNDS):
-            start = _max_plus(now, alpha_sum, heads, delivery, fetch, after)
-            dequeue = np.maximum(delivery[heads], start[:w] + theta_ns)
-            line = _admitted(decision, dequeue, queue_size, queued, ptr)
-            m = min(w, len(line))
-            ok = (line[:m] == heads[:m]) & (line[:m] < n_frames)
-            guessed = np.minimum(n_frames, np.concatenate((
-                line[:m], (line[-1] + 1 if len(line) else ptr) + np.arange(w - m))))
-            if np.array_equal(guessed, heads):
-                break
-            heads = guessed
+            # Consecutive frames, with t the max-plus prefix.
+            line = ptr + np.arange(w + 1)
+            start = _max_plus(now, alpha_sum, delivery[line[:w]], lag)
+            ok = np.searchsorted(decision, start[:w] + theta_ns, "right") <= line[:w]
         p = int(np.append(ok, False).argmin())
-        if not p:
-            return line[:0], start[:0], now, ptr, queue
-        ptr = int(np.searchsorted(decision, dequeue[p - 1], "right"))
-        k = int(np.searchsorted(line, ptr))
-        return line[:p], np.diff(start[:p + 1]), int(start[p]), ptr, deque(line[p:k].tolist())
+        return line[:p], np.diff(start[:p + 1]), int(start[p]), int(line[p]), queue
+    if guess == "never_binds":
+        # t = t_0 + S, so the retrievals fall at the releases.
+        dequeue = now + alpha_sum[:w] + theta_ns
+        line = _admitted(decision, dequeue, queue_size, queued, ptr)
+    else:
+        # The queued frames, then consecutive ones.
+        dequeue, line = None, np.concatenate((queued, ptr + np.arange(w - held)))
+    heads = None  # no heads solved yet
+    for _ in range(_WALK_ROUNDS):
+        m = min(w, len(line))
+        guessed = np.minimum(n_frames, np.concatenate((
+            line[:m], (line[-1] + 1 if len(line) else ptr) + np.arange(w - m))))
+        if np.array_equal(guessed, heads):
+            break
+        heads = guessed
+        arrival = delivery[heads]
+        start = _max_plus(now, alpha_sum, arrival, lag)
+        retrievals = np.maximum(arrival, start[:w] + theta_ns)
+        if np.array_equal(retrievals, dequeue):
+            break  # the walk there returns `line` again
+        dequeue, line = retrievals, _admitted(decision, retrievals, queue_size, queued, ptr)
+    m = min(w, len(line))
+    ok = (line[:m] == heads[:m]) & (line[:m] < n_frames)
     p = int(np.append(ok, False).argmin())
-    k = p + held if guess == "never_binds" else max(p, held)
-    return heads[:p], np.diff(start[:p + 1]), int(start[p]), int(line[k]), deque(line[p:k].tolist())
+    if not p:
+        return line[:0], start[:0], now, ptr, queue
+    ptr = int(np.searchsorted(decision, dequeue[p - 1], "right"))
+    k = int(np.searchsorted(line, ptr))
+    return line[:p], np.diff(start[:p + 1]), int(start[p]), ptr, deque(line[p:k].tolist())
 
 
 def _cycles(dec, dlv, n_frames, queue_size, theta_ns, now, ptr, queue, fetch, other, after):
@@ -551,9 +549,9 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
     the stretch passes `end`, now plus the sum of these over its cycles.
     Admissions and bisections stop at the first frame decided after their
     instant, and a head is decided by its retrieval, so no read passes the
-    fill. A block may leave `ptr` ahead of the loop's by frames decided by
-    the next release (`_solve_block`); the first admission passes over or
-    admits them as the loop did, and the stretch then runs the loop's cycles.
+    fill. A queueless block may leave `ptr` ahead of the loop's by frames
+    decided by the next release (`_solve_block`); the first admission passes
+    over them as the loop did, and the stretch then runs the loop's cycles.
     """
     n_frames = len(decision)
     # The instants with a `_NEVER` sentinel appended, read by blocks and fills.
@@ -567,9 +565,6 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
     heads, lens = [], []
     stretch = window = _FIRST_CHUNK
     guess = None
-    # The guess a saturated-looking stretch tries: with a FIFO, the walk once
-    # a fetch-never-binds block has failed within 32 cycles.
-    saturated = "never_binds"
 
     for fetch, other, after in draws:
         i = 0
@@ -587,8 +582,6 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
                     continue
                 if len(c) < _FIRST_CHUNK // 2:
                     stretch = min(2 * stretch, _CHUNK)
-                    if guess == "never_binds" and queue_size:
-                        saturated = "walk"
                 guess, window = None, _FIRST_CHUNK
             j = min(len(fetch), i + stretch)
             f, o, a = fetch[i:j].tolist(), other[i:j].tolist(), after[i:j].tolist()
@@ -616,9 +609,9 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
                 guess = "no_drop"
             elif (len(queue) == max(queue_size - 1, 0) and lens[-1][m:].sum()
                   == (np.maximum(fetch[i + m:j] + theta_ns, other[i + m:j]) + after[i + m:j]).sum()):
-                guess = saturated
+                guess = "never_binds"
             elif queue_size:
-                guess = "walk"
+                guess = "no_drop"
             else:
                 stretch = min(2 * stretch, _CHUNK)
             i = j
@@ -672,8 +665,10 @@ def _simulate(cfg: SimConfig, streams) -> SimResult:
             disp_read.append(d)
             yield (f, d, i) if phased else (f, np.maximum(i, d), np.zeros_like(f))
 
-    fetched, cyc_len, last_other = _run_cycles(decision, delivery, queue_size, theta_ns,
-                                               cycle_draws())
+    # A FIFO never holds more frames than the run captures, so the loop runs
+    # a larger one as one of n_frames buffers (at least one), in int64.
+    fetched, cyc_len, last_other = _run_cycles(
+        decision, delivery, min(queue_size, max(n_frames, 1)), theta_ns, cycle_draws())
 
     n_fetched = len(fetched)
     warnings: list[str] = []

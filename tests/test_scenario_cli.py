@@ -795,6 +795,16 @@ class TestCliBadValues:
         assert run_cli(argv) == 2
         assert culprit.replace("{tmp}", str(bad_scenarios)) in capsys.readouterr().err
 
+    # A queue size that a float holds but int64 cannot still runs: the
+    # simulator runs a FIFO larger than the run's frame count as one of that
+    # many buffers.
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("size", ["9223372036854775807", "100000000000000000000"])
+    def test_fifo_beyond_int64_runs(self, command, size, tmp_path, capsys):
+        path = tmp_path / "huge_queue.ini"
+        path.write_text(FAST_SCENARIO.replace("size = 2", f"size = {size}"))
+        assert run_cli([command, str(path)]) == 0
+
     # Every field the camera and link configs check is reported by its key,
     # so no check of theirs can bypass the scenario parser's key table.
     @pytest.mark.parametrize("section, field", [
