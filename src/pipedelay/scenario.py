@@ -237,6 +237,8 @@ def _build_stage(sec: _Section, base_dir: str) -> DelayDist:
         raise ScenarioError(
             f"[{sec.name}]: need exactly one of dist=, csv=, const=")
     kind = sources[0]
+    if "bin_ms" in sec.items and kind != "csv":
+        raise ScenarioError(f"[{sec.name}] bin_ms: only with csv=")
     if kind == "dist":
         return _parse_dist_literal(sec.items["dist"], f"[{sec.name}] dist")
     if kind == "const":

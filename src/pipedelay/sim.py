@@ -66,35 +66,37 @@ beta_j - S_{j+1}), one cumsum and one maximum.accumulate. The arithmetic
 is int64 ns throughout, so the cycle lengths are the loop's, bit for bit.
 The heads depend on t, so the block path guesses them, solves, checks the
 guess and keeps the longest verified prefix; the cycle that fails, and the
-run's end, go through the per-cycle loop. There are two guesses:
+run's end, go through the per-cycle loop.
 
-- The fetch never binds (detector-limited runs), so t = t_0 + S. With
-  Q = 0 a cycle takes the first frame decided after its release, and the
-  check is beta_n <= t_n + alpha_n. With a FIFO each retrieval falls at
-  its release, and from a saturated one (Q - 1 frames held after each
-  retrieval) a cycle takes the queued frames, then the first frame decided
-  after each previous release.
+One heads rule, picked by Q, gives the heads the loop takes at given
+instants, each exact once the heads before it are the loop's. With a FIFO
+(Q >= 1) it is the admission walk at the retrieval instants deq: the FIFO
+occupancy steps +1 at each decision and -1 at each retrieval, clipped at
+Q, where a clipped step is a drop: Lindley's recursion (Lindley, Proc.
+Camb. Phil. Soc. 48, 1952), one running maximum over the retrievals.
+Without one, head n is the first frame decided after release n.
+
+There are two guesses, and each only gives the starting heads:
+
+- The fetch never binds (detector-limited runs): the heads rule at the
+  releases t_0 + S + theta, where the retrievals from a FIFO fall too.
 - No frame is dropped or skipped (arrival-limited and frame-locked runs,
   and FIFO runs that drop and starve in turn): the queued frames, then
-  consecutive ones, with t the max-plus prefix. With Q = 0 the check is
-  that no frame is decided by a release before the cycle's head is:
-  searchsorted(decision, release_n, "right") <= h_n.
+  consecutive ones.
 
-With a FIFO (Q >= 1) a guess only gives the starting point of the one
-verifier, the admission walk. With the retrieval instants deq fixed, the
-FIFO occupancy steps +1 at each decision and -1 at each retrieval, clipped
-at Q, where a clipped step is a drop: Lindley's recursion (Lindley, Proc.
-Camb. Phil. Soc. 48, 1952), one running maximum over the retrievals. A
-block iterates heads -> t -> deq_n = max(delivery[h_n], t_n + theta) ->
-the walk's heads, for at most `_WALK_ROUNDS` rounds, and keeps the prefix
-on which the walk returns the heads t was solved from. Whatever the
-starting point, that prefix is the loop's by causality (see `_solve_block`).
+One verifier checks every block. It iterates heads -> t -> deq_n =
+max(delivery[h_n], t_n + theta) -> the heads rule's heads, for at most
+`_WALK_ROUNDS` rounds with a FIFO and one round without (there a head one
+frame off moves the next cycle by about a capture interval, so the rounds
+would not converge), and keeps the prefix on which the rule returns the
+heads t was solved from. Whatever the starting heads, that prefix and the
+loop state after it are the loop's by causality (see `_solve_block`).
 
 A predictor picks the path. After each per-cycle stretch it reads the
 stretch's second half, at most its last 64 cycles: consecutive heads point
 to the no-drop guess, and cycles that all lasted alpha (their sum is the
-alpha sum, as no cycle is shorter) with the FIFO as the saturated guess
-needs it point to the fetch-never-binds guess. With a FIFO, any other
+alpha sum, as no cycle is shorter) with max(Q - 1, 0) frames left in the
+FIFO point to the fetch-never-binds guess. With a FIFO, any other
 stretch points to the no-drop guess too; without one the next stretch
 doubles instead, up to 4096 cycles. A speculation window starts at 64
 cycles and doubles while its guess verifies in full, which also sets the
@@ -136,7 +138,7 @@ _MS = 1_000_000  # ns per ms
 # A stream's draw chunks double from _FIRST_CHUNK up to _CHUNK values.
 _FIRST_CHUNK = 64
 _CHUNK = 4096
-# An admission-walk block iterates at most this many rounds.
+# A block with a FIFO iterates at most this many rounds.
 _WALK_ROUNDS = 6
 _NEVER = 1 << 62  # ns, later than any event of a run
 # Objects are injected uniformly over this leading fraction of the run so
@@ -368,9 +370,18 @@ def _admitted(decision, dequeue, queue_size, queued, ptr):
     return np.concatenate((queued, frames))
 
 
+def _heads(decision, instants, queue_size, queued, ptr):
+    """The heads rule (see `_solve_block`): with a FIFO, the frames the
+    admission walk admits at the retrievals `instants`; without one, the
+    first frame from `ptr` on decided after each release in `instants`."""
+    if queue_size:
+        return _admitted(decision, instants, queue_size, queued, ptr)
+    return np.maximum(ptr, np.searchsorted(decision, instants, "right"))
+
+
 def _solve_block(guess, decision, delivery, queue_size, theta_ns,
                  now, ptr, queue, fetch, other, after):
-    """Solve the next cycles as one block under one guess of their heads
+    """Solve the next cycles as one block from one guess of their heads
     (see the module docstring) and keep the prefix that verifies.
 
     `guess` is "never_binds" (the fetch never binds) or "no_drop" (no frame
@@ -380,35 +391,35 @@ def _solve_block(guess, decision, delivery, queue_size, theta_ns,
     `after` are its cycles' draws. Returns the verified prefix's fetched
     frames and cycle lengths as int64 arrays and the loop state after it.
 
-    Without a FIFO each guess has its own check, and the state after the
-    prefix may differ from the loop's only by frames decided by the next
-    release, between the two `ptr`s: the next admission passes over them
-    just as the loop did.
-
-    With a FIFO the admission walk (`_admitted`) is the one verifier. Its
-    heads at retrievals deq are the admitted frames, followed by consecutive
-    frames where it admits fewer than the block's cycles. The first heads H
-    are the no-drop guess, or, when the fetch never binds, the walk's heads
-    at the releases t_0 + S + theta. Each round solves t from H, sets deq_n =
-    max(delivery[H_n], t_n + theta) and takes the walk's heads N there (or
-    stops if deq did not change); it repeats with H = N until N = H or for
-    `_WALK_ROUNDS` rounds, and keeps the prefix on which the walk's own
-    heads equal H and lie before the sentinel. Whatever H is, deq never
-    decreases, as t_{n+1} >= max(t_n + theta, delivery[H_n]) >= deq_n.
+    The first heads H are the no-drop guess, or, when the fetch never binds,
+    the heads rule's at the releases t_0 + S + theta. Each round solves t
+    from H, sets deq_n = max(delivery[H_n], t_n + theta) and takes the
+    rule's heads N at deq with a FIFO, at the releases t + theta without
+    one, followed by consecutive frames where they are fewer than the
+    block's cycles (or stops if those instants did not change). It repeats
+    with H = N until N = H or for `_WALK_ROUNDS` rounds with a FIFO, one
+    round without, and keeps the prefix on which N = H and lies before the
+    sentinel. Whatever H is, deq never decreases, as t_{n+1} >=
+    max(t_n + theta, delivery[H_n]) >= deq_n.
     On the prefix every head is the loop's, by induction on n: let heads
     0 .. n-1 of H be the loop's. Then t_0 .. t_n and deq_0 .. deq_{n-1} are
-    the loop's, and deq_m >= t_n + theta = release_n for m >= n. The loop's
-    head n is the FIFO head, decided by release_n, or, with the FIFO empty
-    at release_n, the first frame decided after it. Every frame up to the
-    first case's head is decided by release_n, so it sees no retrieval
-    m >= n and the walk admits it as the loop did. In the second case the
-    frames before the head are those, and the head itself finds the FIFO
-    empty but for possibly earlier retrievals, which only add room, so the
-    walk admits it too. Either way N_n is the loop's head n, and H_n = N_n
+    the loop's, and deq_m >= t_n + theta = release_n for m >= n. With a
+    FIFO the loop's head n is the FIFO head, decided by release_n, or, with
+    the FIFO empty at release_n, the first frame decided after it. Every
+    frame up to the first case's head is decided by release_n, so it sees
+    no retrieval m >= n and the walk admits it as the loop did. In the
+    second case the frames before the head are those, and the head itself
+    finds the FIFO empty but for possibly earlier retrievals, which only add
+    room, so the walk admits it too. Without a FIFO every frame the loop
+    passed over before head n was decided by release_n, as release_n >=
+    deq_{n-1} >= delivery[h_{n-1}] >= decision[h_{n-1}], so head n, the
+    first frame decided after release_n, is max(ptr, searchsorted(decision,
+    release_n, "right")). Either way N_n is the loop's head n, and H_n = N_n
     on the prefix. The state after p kept cycles is the loop's exactly:
     every frame decided by deq_{p-1} is passed, as the loop's
     deq-admission passes it, and the FIFO holds the admitted frames after
-    head p - 1 decided by then, which see no retrieval m >= p.
+    head p - 1 decided by then, which see no retrieval m >= p; without a
+    FIFO there are none, as N_p is decided after release_p >= deq_{p-1}.
     """
     held = len(queue)
     queued = np.fromiter(queue, np.int64, held)
@@ -421,29 +432,16 @@ def _solve_block(guess, decision, delivery, queue_size, theta_ns,
     w = min(len(fetch), n_frames - ptr + held, drained + queue_size)
     fetch, after, alpha_sum = fetch[:w], after[:w], alpha_sum[:w + 1]
     lag = fetch + after - alpha_sum[1:]  # beta_n - S_{n+1} - delivery[h_n]
-    if not queue_size:
-        if guess == "never_binds":
-            # t = t_0 + S, and a cycle takes the first frame decided after
-            # its release.
-            start = now + alpha_sum
-            line = np.searchsorted(decision, start + theta_ns, "right")
-            ok = delivery[line[:w]] + lag <= now
-        else:
-            # Consecutive frames, with t the max-plus prefix.
-            line = ptr + np.arange(w + 1)
-            start = _max_plus(now, alpha_sum, delivery[line[:w]], lag)
-            ok = np.searchsorted(decision, start[:w] + theta_ns, "right") <= line[:w]
-        p = int(np.append(ok, False).argmin())
-        return line[:p], np.diff(start[:p + 1]), int(start[p]), int(line[p]), queue
     if guess == "never_binds":
-        # t = t_0 + S, so the retrievals fall at the releases.
-        dequeue = now + alpha_sum[:w] + theta_ns
-        line = _admitted(decision, dequeue, queue_size, queued, ptr)
+        # t = t_0 + S, so the releases, and the retrievals from a FIFO, fall
+        # at t_0 + S + theta.
+        read = now + alpha_sum[:w] + theta_ns
+        line = _heads(decision, read, queue_size, queued, ptr)
     else:
         # The queued frames, then consecutive ones.
-        dequeue, line = None, np.concatenate((queued, ptr + np.arange(w - held)))
+        read, line = None, np.concatenate((queued, ptr + np.arange(w - held)))
     heads = None  # no heads solved yet
-    for _ in range(_WALK_ROUNDS):
+    for _ in range(_WALK_ROUNDS if queue_size else 1):
         m = min(w, len(line))
         guessed = np.minimum(n_frames, np.concatenate((
             line[:m], (line[-1] + 1 if len(line) else ptr) + np.arange(w - m))))
@@ -452,10 +450,11 @@ def _solve_block(guess, decision, delivery, queue_size, theta_ns,
         heads = guessed
         arrival = delivery[heads]
         start = _max_plus(now, alpha_sum, arrival, lag)
-        retrievals = np.maximum(arrival, start[:w] + theta_ns)
-        if np.array_equal(retrievals, dequeue):
-            break  # the walk there returns `line` again
-        dequeue, line = retrievals, _admitted(decision, retrievals, queue_size, queued, ptr)
+        dequeue = np.maximum(arrival, start[:w] + theta_ns)
+        instants = dequeue if queue_size else start[:w] + theta_ns
+        if np.array_equal(instants, read):
+            break  # the rule there returns `line` again
+        read, line = instants, _heads(decision, instants, queue_size, queued, ptr)
     m = min(w, len(line))
     ok = (line[:m] == heads[:m]) & (line[:m] < n_frames)
     p = int(np.append(ok, False).argmin())
@@ -549,9 +548,7 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
     the stretch passes `end`, now plus the sum of these over its cycles.
     Admissions and bisections stop at the first frame decided after their
     instant, and a head is decided by its retrieval, so no read passes the
-    fill. A queueless block may leave `ptr` ahead of the loop's by frames
-    decided by the next release (`_solve_block`); the first admission passes
-    over them as the loop did, and the stretch then runs the loop's cycles.
+    fill.
     """
     n_frames = len(decision)
     # The instants with a `_NEVER` sentinel appended, read by blocks and fills.

@@ -671,6 +671,11 @@ _BAD_SCENARIOS = {
                      "preset = xavier-yolov3-608\n\n[profile.fetch_exec]\ncsv = latin1.csv"),
     "csv_long_field": ("preset = xavier-yolov3-608",
                        "preset = xavier-yolov3-608\n\n[profile.fetch_exec]\ncsv = long.csv"),
+    # A bin width is read only with samples to bin.
+    "stray_bin_ms": ("preset = xavier-yolov3-608", "preset = xavier-yolov3-608\n\n"
+                     "[profile.fetch_exec]\ndist = 5:1\nbin_ms = abc"),
+    "const_bin_ms": ("preset = xavier-yolov3-608", "preset = xavier-yolov3-608\n\n"
+                     "[profile.fetch_exec]\nconst = 5\nbin_ms = 1"),
 }
 
 # Stage sample files and a scenario file that are not what they should be.
@@ -760,6 +765,9 @@ class TestCliBadValues:
         (["analyze", "{tmp}/csv_long_field.ini"],
          "[profile.fetch_exec] csv: {tmp}/long.csv: field larger than field limit"),
         (["validate", "{tmp}/not_utf8.ini"], "{tmp}/not_utf8.ini: not UTF-8 text"),
+        (["analyze", "{tmp}/stray_bin_ms.ini"], "[profile.fetch_exec] bin_ms: only with csv="),
+        (["validate", "{tmp}/stray_bin_ms.ini"], "[profile.fetch_exec] bin_ms: only with csv="),
+        (["simulate", "{tmp}/const_bin_ms.ini"], "[profile.fetch_exec] bin_ms: only with csv="),
         (["simulate", "{tmp}/fetch_1e12_queue_4.ini"], "[profile.fetch_exec]"),
         (["validate", "{tmp}/fetch_1e15_contention_free.ini"], "[profile.fetch_exec]"),
         (["analyze", "{tmp}/fetch_1e308.ini"], "[profile.fetch_exec]"),

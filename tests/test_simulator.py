@@ -906,8 +906,8 @@ def _admitted_per_frame(decision, dequeue, queue_size, queued, ptr):
 
 def _solve_nothing(guess, decision, delivery, queue_size, theta_ns, now, ptr, queue,
                    *draws):
-    """A block solver that verifies no cycle under any guess or from any
-    starting point of the walk, so the per-cycle loop runs alone."""
+    """A block solver that verifies no cycle from either starting guess, so
+    the per-cycle loop runs alone."""
     empty = np.zeros(0, dtype=np.int64)
     return empty, empty, now, ptr, queue
 
@@ -972,7 +972,8 @@ class TestBlockSolver:
         default and case2, the arrival-limited case1 and the mixed case3
         (99.6%, through walks from both starting points). They solve none of
         contention_free: its fetch waits on a skipped-to frame in every
-        cycle, which fits no queueless guess, and the walk needs a FIFO."""
+        cycle, so no stretch fits either guess, and without a FIFO such a
+        stretch starts no block."""
         solved = Counter()
         solve = sim._solve_block
 
@@ -1010,21 +1011,63 @@ class TestBlockSolver:
         assert got.tolist() == _admitted_per_frame(decision, dequeue, queue_size,
                                                    queued, ptr).tolist()
 
+    def test_every_block_hands_back_the_loop_state(self):
+        """Every block keeps the heads and cycle lengths the per-cycle loop
+        runs from the block's starting state, and hands back the loop's
+        state after them: the cycle start, the next undecided frame and the
+        FIFO, empty without one. Gate-generator scenarios under every
+        variant, from both guesses."""
+        kept = Counter()
+        solve = sim._solve_block
+
+        def replaying(*args):
+            out = solve(*args)
+            _assert_hands_back_the_loop_state(args, out)
+            kept[args[0], args[3] > 0] += len(out[1])
+            return out
+
+        rng = np.random.default_rng(17)
+        with mock.patch.object(sim, "_solve_block", replaying):
+            for i in range(16):
+                cam, usb, profile, variant = _random_scenario(rng, i)
+                for v in (variant, Vanilla(1), Vanilla(2), Vanilla(3), Vanilla(4), OnDemand(),
+                          ZeroSlack(float(rng.uniform(0.0, 1.5)) * cam.cycle_ms),
+                          ContentionFree()):
+                    run(SimConfig(camera=cam, usb=usb, profile=profile, variant=v,
+                                  duration_ms=1000 * cam.cycle_ms, seed=i, n_objects=0,
+                                  capture_jitter_ms=0.2 * cam.cycle_ms * (i % 2)))
+        # Both guesses kept cycles with a FIFO and without one.
+        assert min(kept[g, fifo] for g in ("never_binds", "no_drop")
+                   for fifo in (False, True)) > 0, kept
+
     @pytest.mark.parametrize("w", [1, 2, 3, 4])
-    def test_walk_block_shorter_than_the_fifo(self, w):
-        """A walk block at the end of a draw chunk can have fewer cycles than
-        the FIFO holds frames; it keeps the loop's cycles and state."""
+    @pytest.mark.parametrize("guess, queue_size, queued, ptr", [
+        ("no_drop", 4, [2, 3, 4], 5), ("no_drop", 0, [], 6), ("never_binds", 0, [], 6)],
+        ids=["vanilla4", "on_demand-no_drop", "on_demand-never_binds"])
+    def test_walk_block_shorter_than_the_fifo(self, w, guess, queue_size, queued, ptr):
+        """A block at the end of a draw chunk can have fewer cycles than the
+        FIFO holds frames; it keeps the loop's cycles and state, as does a
+        queueless block of as few cycles."""
         decision = np.arange(1, 21, dtype=np.int64) * 10 * _MS
         dec_s, dlv_s = (np.append(x, sim._NEVER) for x in (decision, decision + 5 * _MS))
         draws = [np.full(w, _MS), np.full(w, 25 * _MS), np.zeros(w, dtype=np.int64)]
-        block = sim._solve_block("no_drop", dec_s, dlv_s, 4, 0, 60 * _MS, 5, deque([2, 3, 4]),
-                                 *draws)
-        loop_queue = deque([2, 3, 4])
-        heads, lens, now, ptr, _ = sim._cycles(dec_s.tolist(), dlv_s.tolist(), 20, 4, 0,
-                                               60 * _MS, 5, loop_queue,
-                                               *(d.tolist() for d in draws))
-        assert (block[0].tolist(), block[1].tolist(), block[2], block[3], list(block[4])) == (
-            heads, lens, now, ptr, list(loop_queue))
+        args = (guess, dec_s, dlv_s, queue_size, 0, 60 * _MS, ptr, deque(queued), *draws)
+        out = sim._solve_block(*args)
+        assert len(out[1]) == (1 if guess == "no_drop" and not queue_size else w)
+        _assert_hands_back_the_loop_state(args, out)
+
+
+def _assert_hands_back_the_loop_state(args, out):
+    """Replay the per-cycle loop over the cycles a `sim._solve_block` call
+    kept, from the state the block started in, and require the block's
+    heads, cycle lengths and state after them."""
+    _, dec_s, dlv_s, queue_size, theta_ns, now, ptr, queue, *draws = args
+    heads, lens, *state = out
+    loop_queue = deque(queue)
+    loop = sim._cycles(dec_s.tolist(), dlv_s.tolist(), len(dec_s) - 1, queue_size, theta_ns,
+                       now, ptr, loop_queue, *(d[:len(lens)].tolist() for d in draws))
+    assert (heads.tolist(), lens.tolist(), state[0], state[1], list(state[2])) == (
+        loop[0], loop[1], loop[2], loop[3], list(loop_queue))
 
 
 class TestRetrievalWait:
