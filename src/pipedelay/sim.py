@@ -113,7 +113,10 @@ a reach bounded from its draws, so a run solved in blocks converts few of
 them. Both paths record the fetched frames and the cycle lengths as int64
 pieces; retrieval instants, display ends, drops, queue occupancy,
 admission depths, cycle starts, steady-cycle masks, fetch blocking and
-the trace events are derived from these after the loop.
+the trace events are derived from these after the loop, in linear time:
+one stable sort merges the accepts and retrievals (see `_occupancy`).
+Each field in ms replaces its ns source, of the same size, as it is
+built, so the conversions hold at most one array beyond the result.
 
 Stage delays come from six seeded draw streams, one per stage, contended
 and uncontended. Each draws in chunks of 64 values at first, doubling up
@@ -614,6 +617,29 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
             i = j
 
 
+def _occupancy(accept, retrieve):
+    """The FIFO occupancy from the nondecreasing accept and retrieval
+    instants of the same frames, in order: both instants merged, the depth
+    after each, and the depth each frame found at its accept (`ahead`) and
+    left behind at its retrieval.
+
+    A stable sort of the two runs merges them in linear time (Knuth, TAOCP
+    vol. 3, 5.2.4), an accept first at a tie, as a frame decided at a
+    retrieval instant still finds that retrieval's head in its buffer. So
+    accept k lands at k + (retrievals before it), and retrieval m at m +
+    (accepts up to it): accept k found 2k minus its position ahead of it,
+    and retrieval m left its position minus 2m - 1 behind.
+    """
+    events = np.concatenate((accept, retrieve))
+    order = np.argsort(events, kind="stable")
+    is_accept = order < len(accept)
+    events = events[order]
+    del order
+    depth = np.cumsum(2 * is_accept - 1)
+    twice = 2 * np.arange(len(accept))
+    return events, depth, twice - np.flatnonzero(is_accept), np.flatnonzero(~is_accept) - twice - 1
+
+
 def _stage_dists(profile: StageProfile) -> list[DelayDist]:
     """The six stage distributions in stream order: fetch, inference and
     display, each contended and then uncontended. A contended stage sums its
@@ -678,6 +704,7 @@ def _simulate(cfg: SimConfig, streams) -> SimResult:
     # frame alone.
     lag = 1 if phased else 2
     disp_ns = np.concatenate(disp_read)[lag:n_fetched + 1]
+    disp_read.clear()
     if n_fetched and phased:
         cyc_len = np.append(cyc_len, last_other)
     elif n_fetched:
@@ -685,56 +712,45 @@ def _simulate(cfg: SimConfig, streams) -> SimResult:
         cyc_len = np.append(cyc_len, (last_other if n_fetched > 1 else int(next(infer_u)[0]),
                                       last_disp))
         disp_ns = np.append(disp_ns, last_disp)
+
     # Every cycle starts where the previous one ends, and the fetching
     # cycles come first.
     cyc_start = np.cumsum(cyc_len) - cyc_len
-    fetch_start = cyc_start[:n_fetched]
-    dequeue_ns = np.maximum(delivery[fetched], fetch_start + theta_ns)
-    b_ns = dequeue_ns - fetch_start - theta_ns
+    dequeue_ns = np.maximum(delivery[fetched], cyc_start[:n_fetched] + theta_ns)
     disp_ns += cyc_start[lag:]
-    # A cycle has every slot occupied once the pipeline has filled and
-    # while it still fetches.
-    cyc_idx = np.arange(len(cyc_len))
-    cyc_steady = (cyc_idx >= lag) & (cyc_idx < n_fetched)
 
     # With a queue, the accepted frames are exactly the fetched ones, in
-    # order. Merging accepts and retrievals by instant, an accept first at
-    # a tie, gives the occupancy after each; without a queue there is none.
-    order = np.arange(n_fetched)
+    # order; without a queue there is no occupancy.
     if queue_size:
-        accept_ns = decision[fetched]
-        retrieved_before = np.searchsorted(dequeue_ns, accept_ns, side="left")
-        accepted_by = np.searchsorted(accept_ns, dequeue_ns, side="right")
-        ahead = order - retrieved_before
-        left_behind = accepted_by - order - 1
-        occ_ns = np.empty(2 * n_fetched, dtype=np.int64)
-        occ_depth = np.empty(2 * n_fetched, dtype=np.int64)
-        occ_ns[order + retrieved_before] = accept_ns
-        occ_depth[order + retrieved_before] = ahead + 1
-        occ_ns[order + accepted_by] = dequeue_ns
-        occ_depth[order + accepted_by] = left_behind
+        occ_ns, occ_depth, ahead, left_behind = _occupancy(decision[fetched], dequeue_ns)
     else:
         ahead = left_behind = np.zeros(n_fetched, dtype=np.int64)
         occ_ns = occ_depth = np.zeros(0, dtype=np.int64)
     full = np.flatnonzero(occ_depth == queue_size)
+    first_full = int(occ_ns[full[0]]) / _MS if len(full) else None
 
     trace = None
     if cfg.trace:
         # Events are (time_ns, kind, frame, detail), sorted by time, kind and
         # frame; detail is the queue depth after an accept or a retrieval, Q
         # for a drop or skip and 0 for a capture.
-        dropped = np.setdiff1d(np.arange(n_frames), fetched, assume_unique=True)
+        dropped = np.ones(n_frames, dtype=bool)
+        dropped[fetched] = False
         frames = fetched.tolist()
         trace = list(zip(capture.tolist(), repeat("capture"), range(n_frames), repeat(0)))
         trace += zip(decision[dropped].tolist(), repeat("drop" if queue_size else "skip"),
-                     dropped.tolist(), repeat(queue_size))
+                     np.flatnonzero(dropped).tolist(), repeat(queue_size))
         if queue_size:
-            trace += zip(accept_ns.tolist(), repeat("accept"), frames, (ahead + 1).tolist())
+            trace += zip(decision[fetched].tolist(), repeat("accept"), frames, (ahead + 1).tolist())
         trace += zip(dequeue_ns.tolist(), repeat("retrieve"), frames, left_behind.tolist())
         trace.sort()
 
-    # Frames with a fully occupied pipeline on both sides of their journey;
-    # analytical steady-state bounds apply to these.
+    # A cycle has every slot occupied once the pipeline has filled and
+    # while it still fetches. Frames with a fully occupied pipeline on both
+    # sides of their journey are steady; analytical steady-state bounds
+    # apply to these.
+    cyc_steady = np.zeros(len(cyc_len), dtype=bool)
+    cyc_steady[lag:n_fetched] = True
     steady = np.zeros(n_fetched, dtype=bool)
     steady[lag:n_fetched - 1 + phased] = True
 
@@ -756,36 +772,34 @@ def _simulate(cfg: SimConfig, streams) -> SimResult:
     cam_delay = np.full(len(obj_ns), np.nan)
     e2e[hit] = (disp_ns[hit_pos] - obj_ns[hit]) / _MS
     cam_delay[hit] = (delivery[object_frame[hit]] - obj_ns[hit]) / _MS
-    missed = int(len(obj_ns) - hit.sum())
+
+    # The fields in ms by their ns sources, each the size of its field. Each
+    # field replaces its source as it is built, so the conversions hold at
+    # most one array beyond the result.
+    ns = dict(b_fetch_ms=dequeue_ns - cyc_start[:n_fetched] - theta_ns,
+              queue_delays=dequeue_ns - delivery[fetched], detector_delays=disp_ns - dequeue_ns,
+              capture_ms=capture, decision_ms=decision, delivery_ms=delivery,
+              dequeue_ms=dequeue_ns, display_end_ms=disp_ns, cycle_start_ms=cyc_start,
+              cycle_times=cyc_len, occupancy_ms=occ_ns, object_times=obj_ns)
+    del capture, decision, delivery, dequeue_ns, disp_ns, cyc_start, cyc_len, occ_ns, left_behind
 
     return SimResult(
         variant_name=cfg.variant.name,
         seed=cfg.seed,
         duration_ms=cfg.duration_ms,
-        capture_ms=capture / _MS,
-        decision_ms=decision / _MS,
-        delivery_ms=delivery / _MS,
         fetched_frames=fetched,
-        dequeue_ms=dequeue_ns / _MS,
-        b_fetch_ms=b_ns / _MS,
         admit_ahead=ahead,
-        queue_delays=(dequeue_ns - delivery[fetched]) / _MS,
-        detector_delays=(disp_ns - dequeue_ns) / _MS,
-        display_end_ms=disp_ns / _MS,
         steady_frame_mask=steady,
-        cycle_start_ms=cyc_start / _MS,
-        cycle_times=cyc_len / _MS,
         cycle_steady_mask=cyc_steady,
-        occupancy_ms=occ_ns / _MS,
         occupancy_depth=occ_depth,
-        first_full_ms=int(occ_ns[full[0]]) / _MS if len(full) else None,
-        object_times=obj_ns / _MS,
+        first_full_ms=first_full,
         object_frame=object_frame,
         e2e_delays=e2e,
         camera_delays=cam_delay,
-        objects_missed=missed,
+        objects_missed=int(len(obj_ns) - hit.sum()),
         drops=n_frames - n_fetched,
         frames_captured=n_frames,
         warnings=warnings,
         trace=trace,
+        **{name: ns.pop(name) / _MS for name in list(ns)},
     )

@@ -11,6 +11,7 @@ are phrased relative to it.
 
 import dataclasses
 import hashlib
+import tracemalloc
 from collections import Counter, deque
 from itertools import count, islice
 from unittest import mock
@@ -1157,3 +1158,77 @@ class TestBookkeepingMatchesTrace:
             assert np.array_equal(
                 np.asarray([ev[0] for ev in retrieved], dtype=np.int64) / 1_000_000,
                 r.dequeue_ms)
+
+
+# -- run epilogue ----------------------------------------------------------------
+
+
+def _occupancy_by_search(accept, retrieve):
+    """`sim._occupancy` by binary searches rather than a merge: accept k
+    lands after the retrievals strictly before it, retrieval m after the
+    accepts up to it, and the merged arrays are filled by scatter."""
+    order = np.arange(len(accept))
+    retrieved_before = np.searchsorted(retrieve, accept, side="left")
+    accepted_by = np.searchsorted(accept, retrieve, side="right")
+    ahead = order - retrieved_before
+    left_behind = accepted_by - order - 1
+    occ_ns = np.empty(2 * len(accept), dtype=np.int64)
+    occ_depth = np.empty(2 * len(accept), dtype=np.int64)
+    occ_ns[order + retrieved_before] = accept
+    occ_depth[order + retrieved_before] = ahead + 1
+    occ_ns[order + accepted_by] = retrieve
+    occ_depth[order + accepted_by] = left_behind
+    return occ_ns, occ_depth, ahead, left_behind
+
+
+# The SimResult fields that hold arrays: the bytes a run's result takes.
+_RESULT_ARRAYS = (
+    "capture_ms", "decision_ms", "delivery_ms", "fetched_frames", "dequeue_ms",
+    "b_fetch_ms", "admit_ahead", "queue_delays", "detector_delays", "display_end_ms",
+    "steady_frame_mask", "cycle_start_ms", "cycle_times", "cycle_steady_mask",
+    "occupancy_ms", "occupancy_depth", "object_times", "object_frame", "e2e_delays",
+    "camera_delays",
+)
+
+
+class TestRunEpilogue:
+    @settings(max_examples=300, deadline=None)
+    @given(gaps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=40),
+           start=st.integers(-3, 3))
+    @example(gaps=[], start=0)
+    def test_occupancy_merge_matches_search(self, gaps, start):
+        """The stable-sort merge gives the occupancy, admission depths and
+        depths left behind that binary searches give, with instants shared
+        within and across the accepts and the retrievals, and the same
+        dtypes; also with no frame."""
+        accept = np.cumsum(np.asarray([a for a, _ in gaps], dtype=np.int64))
+        retrieve = start + np.cumsum(np.asarray([r for _, r in gaps], dtype=np.int64))
+        got = sim._occupancy(accept, retrieve)
+        want = _occupancy_by_search(accept, retrieve)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype
+            assert g.tolist() == w.tolist()
+
+    def test_run_peak_stays_near_its_result(self):
+        """One simulated hour of case1 (108,000 frames, all fetched) peaks
+        below 1.6 times the bytes of its result's arrays in traced
+        allocations: each ms field replaces its ns source as it is built.
+        Building every field while all the ns arrays lived took 2.07 times."""
+        s = load_scenario("case1")
+        cfg = dataclasses.replace(s.sim_config(s.variants[0]), duration_ms=3600000.0)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            r = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        arrays = {f.name for f in dataclasses.fields(r)
+                  if isinstance(getattr(r, f.name), np.ndarray)}
+        assert arrays == set(_RESULT_ARRAYS)
+        result_bytes = sum(getattr(r, name).nbytes for name in _RESULT_ARRAYS)
+        assert r.frames_fetched == r.frames_captured == 108000
+        assert peak < 1.6 * result_bytes, (peak, result_bytes)
