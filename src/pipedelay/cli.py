@@ -14,7 +14,7 @@ its reader (as `pipedelay ... | head` does).
 """
 
 import argparse
-from itertools import chain
+from functools import cache
 import math
 import os
 import sys
@@ -54,10 +54,14 @@ def _csv(headers, rows) -> str:
 
 
 def _trace_tsv(trace) -> str:
-    """A run's trace events as TSV text, header first: one `%` format over
-    the flattened (time_ns, kind, frame, detail) events."""
-    return ("time_ns\tevent_type\tframe_id\tdetail\n"
-            + "%d\t%s\t%d\t%d\n" * len(trace) % tuple(chain.from_iterable(trace)))
+    """A run's trace as TSV text, header first: one `%` format over the
+    events' cells, interleaved from the trace's columns."""
+    cells = [None] * (4 * len(trace))
+    cells[0::4] = trace.time_ns.tolist()
+    cells[1::4] = trace.kind_names()
+    cells[2::4] = trace.frame.tolist()
+    cells[3::4] = trace.detail.tolist()
+    return "time_ns\tevent_type\tframe_id\tdetail\n" + "%d\t%s\t%d\t%d\n" * len(trace) % tuple(cells)
 
 
 def _emit(headers, rows, fmt: str) -> None:
@@ -269,7 +273,9 @@ def _non_negative(conv):
     return parse
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: every call parses with it."""
     parser = argparse.ArgumentParser(
         prog="pipedelay",
         description="Delay bounds and simulation for a camera->queue->detector pipeline.")

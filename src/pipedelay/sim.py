@@ -110,13 +110,16 @@ The per-cycle loop passes over frames dropped at a full FIFO, or skipped
 by a queueless variant, with one bisection of the decision instants per
 admission. It reads the instants from lists filled once per stretch up to
 a reach bounded from its draws, so a run solved in blocks converts few of
-them. Both paths record the fetched frames and the cycle lengths as int64
-pieces; retrieval instants, display ends, drops, queue occupancy,
-admission depths, cycle starts, steady-cycle masks, fetch blocking and
-the trace events are derived from these after the loop, in linear time:
-one stable sort merges the accepts and retrievals (see `_occupancy`).
-Each field in ms replaces its ns source, of the same size, as it is
-built, so the conversions hold at most one array beyond the result.
+them, and cleared behind the FIFO head, so a run that stays per-cycle
+holds few of them at a time. Both paths record the fetched frames and the
+cycle lengths as int64 pieces; retrieval instants, display ends, drops,
+queue occupancy, admission depths, cycle starts, steady-cycle masks and
+fetch blocking are derived from these after the loop, in linear time: one
+stable sort merges the accepts and retrievals (see `_occupancy`). Each
+field in ms replaces its ns source, of the same size, as it is built, so
+the conversions hold at most one array beyond the result. A traced run
+keeps its events as columns (see `Trace`), ordered by one lexsort of the
+time, kind code and frame columns, with no Python object per event.
 
 Stage delays come from six seeded draw streams, one per stage, contended
 and uncontended. Each draws in chunks of 64 values at first, doubling up
@@ -127,8 +130,8 @@ stream yields do not depend on the chunk sizes.
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import repeat
 import math
+from typing import ClassVar
 
 import numpy as np
 
@@ -221,6 +224,35 @@ class SimConfig:
                              f"clock's {_NEVER / _MS:g} ms")
 
 
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A run's events as columns, sorted by time, kind and frame: the int64
+    instant in ns, the kind as its int8 index in `KINDS`, the int64 frame
+    and the int64 detail, which is the FIFO depth after an accept or a
+    retrieval, Q for a drop or skip and 0 for a capture. The kinds are
+    numbered in alphabetical order, so the columns sort as the event tuples
+    do. `len()` counts the events, and iteration yields each as a (time_ns,
+    kind name, frame, detail) tuple of Python values."""
+
+    KINDS: ClassVar[tuple[str, ...]] = ("accept", "capture", "drop", "retrieve", "skip")
+
+    time_ns: np.ndarray
+    kind: np.ndarray
+    frame: np.ndarray
+    detail: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.time_ns)
+
+    def __iter__(self):
+        return zip(self.time_ns.tolist(), self.kind_names(), self.frame.tolist(),
+                   self.detail.tolist())
+
+    def kind_names(self) -> list[str]:
+        """The name of each event's kind."""
+        return np.array(self.KINDS, dtype=object)[self.kind].tolist()
+
+
 @dataclass
 class SimResult:
     """Everything a run produced, in ms unless suffixed otherwise."""
@@ -264,7 +296,7 @@ class SimResult:
     drops: int
     frames_captured: int
     warnings: list
-    trace: list | None
+    trace: Trace | None              # the events, with SimConfig.trace
 
     @property
     def frames_fetched(self) -> int:
@@ -542,7 +574,8 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
 
     A stretch reads the instants from lists, filled before it runs from the
     FIFO head (or the next undecided frame) through the first frame decided
-    after `end`, or through the `_NEVER` sentinel. A retrieval waits at most
+    after `end`, or through the `_NEVER` sentinel, and cleared behind that
+    head, as the loop never goes back. A retrieval waits at most
     W = max(delivery[0], delivery[k] - decision[k - 1] over k) past its
     release: a queued head k was decided by the release, and decisions never
     decrease; a starved head k is the first frame decided after it, so frame
@@ -558,8 +591,10 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
     dec_s, dlv_s = np.append(decision, _NEVER), np.append(delivery, _NEVER)
     # W, the longest a retrieval waits past its release (see the docstring).
     wait = int(np.max(delivery[1:] - decision[:-1], initial=delivery[0])) if n_frames else 0
-    # The instants the stretches read, as lists; frames no stretch reads stay None.
+    # The instants the stretches read, as lists; frames no stretch reads, and
+    # those before `cleared`, are None.
     dec, dlv = [], []
+    cleared = 0
     queue = deque()
     ptr = now = 0
     heads, lens = [], []
@@ -592,10 +627,13 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
             # Fill through the first frame decided after `end`, or the sentinel.
             top = int(np.searchsorted(decision, min(end, _NEVER), "right")) + 1
             if top > len(dec):
-                low = max(len(dec), queue[0] if queue else ptr)
+                # Frames behind the FIFO head or `ptr` are read no more; each
+                # is cleared once, or set to None when the lists skip it.
+                low = queue[0] if queue else ptr
                 for filled, source in ((dec, dec_s), (dlv, dlv_s)):
-                    filled += [None] * (low - len(filled))
-                    filled += source[low:top].tolist()
+                    filled[cleared:low] = [None] * (low - cleared)
+                    filled += source[len(filled):top].tolist()
+                cleared = low
             h, c, now, ptr, last = _cycles(dec, dlv, n_frames, queue_size, theta_ns,
                                            now, ptr, queue, f, o, a)
             heads.append(np.array(h, dtype=np.int64))
@@ -638,6 +676,18 @@ def _occupancy(accept, retrieve):
     depth = np.cumsum(2 * is_accept - 1)
     twice = 2 * np.arange(len(accept))
     return events, depth, twice - np.flatnonzero(is_accept), np.flatnonzero(~is_accept) - twice - 1
+
+
+def _sorted_trace(events) -> Trace:
+    """The trace of the events given by kind, each kind's as int64
+    (time_ns, frame, detail) columns: one lexsort orders them by time, kind
+    code and frame, as the (time_ns, kind name, frame, detail) tuples sort,
+    since each frame meets each kind at most once."""
+    kind = np.repeat(np.array([Trace.KINDS.index(k) for k in events], dtype=np.int8),
+                     [len(cols[0]) for cols in events.values()])
+    time_ns, frame, detail = (np.concatenate(col) for col in zip(*events.values()))
+    order = np.lexsort((frame, kind, time_ns))
+    return Trace(time_ns[order], kind[order], frame[order], detail[order])
 
 
 def _stage_dists(profile: StageProfile) -> list[DelayDist]:
@@ -690,8 +740,9 @@ def _simulate(cfg: SimConfig, streams) -> SimResult:
 
     # A FIFO never holds more frames than the run captures, so the loop runs
     # a larger one as one of n_frames buffers (at least one), in int64.
+    fifo_size = min(queue_size, max(n_frames, 1))
     fetched, cyc_len, last_other = _run_cycles(
-        decision, delivery, min(queue_size, max(n_frames, 1)), theta_ns, cycle_draws())
+        decision, delivery, fifo_size, theta_ns, cycle_draws())
 
     n_fetched = len(fetched)
     warnings: list[str] = []
@@ -731,19 +782,18 @@ def _simulate(cfg: SimConfig, streams) -> SimResult:
 
     trace = None
     if cfg.trace:
-        # Events are (time_ns, kind, frame, detail), sorted by time, kind and
-        # frame; detail is the queue depth after an accept or a retrieval, Q
-        # for a drop or skip and 0 for a capture.
+        # Q is the loop's FIFO size, in int64: a larger FIFO drops nothing.
         dropped = np.ones(n_frames, dtype=bool)
         dropped[fetched] = False
-        frames = fetched.tolist()
-        trace = list(zip(capture.tolist(), repeat("capture"), range(n_frames), repeat(0)))
-        trace += zip(decision[dropped].tolist(), repeat("drop" if queue_size else "skip"),
-                     np.flatnonzero(dropped).tolist(), repeat(queue_size))
+        dropped = np.flatnonzero(dropped)
+        events = {"capture": (capture, np.arange(n_frames), np.zeros(n_frames, dtype=np.int64)),
+                  "drop" if queue_size else "skip": (
+                      decision[dropped], dropped, np.full(len(dropped), fifo_size, dtype=np.int64)),
+                  "retrieve": (dequeue_ns, fetched, left_behind)}
         if queue_size:
-            trace += zip(decision[fetched].tolist(), repeat("accept"), frames, (ahead + 1).tolist())
-        trace += zip(dequeue_ns.tolist(), repeat("retrieve"), frames, left_behind.tolist())
-        trace.sort()
+            events["accept"] = (decision[fetched], fetched, ahead + 1)
+        trace = _sorted_trace(events)
+        del events, dropped
 
     # A cycle has every slot occupied once the pipeline has filled and
     # while it still fetches. Frames with a fully occupied pipeline on both

@@ -524,7 +524,7 @@ class TestTraceOutput:
             events = [(int(t), kind, int(frame), int(detail)) for t, kind, frame, detail
                       in (line.split("\t") for line in lines[1:-1])]
             r = run(scenario.sim_config(variant, seed=self.SEED, trace=True))
-            assert events == r.trace
+            assert events == list(r.trace)
 
     def test_traces_cover_every_event_kind(self, outputs):
         kinds = {}
@@ -805,13 +805,14 @@ class TestCliBadValues:
 
     # A queue size that a float holds but int64 cannot still runs: the
     # simulator runs a FIFO larger than the run's frame count as one of that
-    # many buffers.
-    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    # many buffers, and the trace of such a run holds no drop.
+    @pytest.mark.parametrize("command", ["simulate", "validate", "simulate --trace"])
     @pytest.mark.parametrize("size", ["9223372036854775807", "100000000000000000000"])
     def test_fifo_beyond_int64_runs(self, command, size, tmp_path, capsys):
         path = tmp_path / "huge_queue.ini"
         path.write_text(FAST_SCENARIO.replace("size = 2", f"size = {size}"))
-        assert run_cli([command, str(path)]) == 0
+        command, *flags = command.split()
+        assert run_cli([command, str(path), *flags]) == 0
 
     # Every field the camera and link configs check is reported by its key,
     # so no check of theirs can bypass the scenario parser's key table.
@@ -857,6 +858,42 @@ class TestCliModule:
             proc.kill()
         assert first.startswith(b"variant ")
         assert (proc.returncode, err) == (141, b"")
+
+
+class TestCliParserReuse:
+    def test_interleaved_calls_match_separate_ones(self, scenario_file, capsys):
+        """One process builds the parser once. Calls that interleave the
+        subcommands, csv and table output, seed overrides and usage errors
+        print the bytes and exit with the codes of calls that each build
+        their own parser."""
+        argvs = [
+            ["analyze", scenario_file, "--format", "csv"],
+            ["simulate", scenario_file, "--seed", "3", "--format", "csv"],
+            ["simulate", scenario_file],
+            ["validate", scenario_file, "--shrink-bounds", "10"],
+            ["analyze", scenario_file],
+            ["sweep", scenario_file, "--param", "queue_size", "--values", "x"],
+            ["validate", scenario_file, "--format", "csv"],
+            ["simulate", scenario_file, "--shrink-bounds", "1"],
+            ["sweep", scenario_file, "--param", "queue_size", "--values", "0..2", "--seed", "5"],
+            ["sweep", scenario_file, "--param", "queue_size", "--values", "0..2"],
+        ]
+
+        def call(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+            return code, out.getvalue(), err.getvalue()
+
+        separate = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            separate.append(call(argv))
+        assert {code for code, _, _ in separate} == {0, 1, 2}
+        cli._build_parser.cache_clear()
+        interleaved = [call(argv) for argv in argvs + argvs[::-1]]
+        assert interleaved == separate + separate[::-1]
+        assert cli._build_parser.cache_info().misses == 1
 
 
 # -- fuzzing --------------------------------------------------------------------
