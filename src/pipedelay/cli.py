@@ -61,7 +61,8 @@ def _trace_tsv(trace) -> str:
     cells[1::4] = trace.kind_names()
     cells[2::4] = trace.frame.tolist()
     cells[3::4] = trace.detail.tolist()
-    return "time_ns\tevent_type\tframe_id\tdetail\n" + "%d\t%s\t%d\t%d\n" * len(trace) % tuple(cells)
+    return ("time_ns\tevent_type\tframe_id\tdetail\n"
+            + "%d\t%s\t%d\t%d\n" * len(trace) % tuple(cells))
 
 
 def _emit(headers, rows, fmt: str) -> None:

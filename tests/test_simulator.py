@@ -1255,7 +1255,8 @@ class TestTraceColumns:
                 tied.update(combinations(sorted(set(kinds)), 2))
                 shared_retrievals |= kinds.count("retrieve") > 1
             fetched.add(r.frames_fetched)
-        queued, queueless = ("accept", "capture", "drop", "retrieve"), ("capture", "retrieve", "skip")
+        queued = ("accept", "capture", "drop", "retrieve")
+        queueless = ("capture", "retrieve", "skip")
         assert tied == {*combinations(queued, 2), *combinations(queueless, 2)}
         assert shared_retrievals and {0, 1, 2} <= fetched
 
