@@ -157,13 +157,49 @@ class DelayDist:
 
     # -- sampling ---------------------------------------------------------
 
+    @cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The guide table of inverse-CDF sampling (Chen & Asau, AIIE Trans.
+        6(2), 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
+        III.2.4): the cut points `_cum[:-1]` with a +inf sentinel, a
+        power-of-two size G >= 2K for K support points, and guide[b], the
+        count of cut points <= b/G."""
+        cut = np.append(self._cum[:-1], np.inf)
+        size = 1 << (2 * len(cut) - 1).bit_length()
+        return cut, cut.searchsorted(np.arange(size) / size, "right"), size
+
+    def _index(self, u: np.ndarray) -> np.ndarray:
+        """The support index of each uniform u in [0, 1), exactly that of the
+        binary search min(searchsorted(_cum, u, "right"), K - 1), through the
+        guide table in about constant time per value.
+
+        That index is the count of cut points <= u: cumulative sums never
+        decrease, so _cum[K - 2] <= u whenever _cum[K - 1] <= u, and leaving
+        out the last cumulative probability, which can round below 1, caps
+        the count at K - 1 as the clip does. u·G and b/G are exact for a
+        power-of-two G, so u lies in bucket b = floor(u·G) with b/G <= u, and
+        guide[b] never passes the index. One forward step, idx += cut[idx] <=
+        u, reaches it unless the bucket holds several cut points at or below
+        u; the few values still behind their cut point take the binary
+        search. The +inf sentinel is never <= u, so every index stays below
+        K."""
+        cut, guide, size = self._guide
+        idx = guide[(u * size).astype(np.intp)]
+        idx += cut[idx] <= u
+        behind = cut[idx] <= u
+        if behind.any():
+            idx[behind] = cut.searchsorted(u[behind], "right")
+        return idx
+
+    def sample_index(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The support indices of n draws, one uniform each. A caller that
+        wants the values in other units indexes its own converted copy of
+        `values`, as the simulator does with int64 ns: each draw then reads
+        the value converting the drawn one would give."""
+        return self._index(rng.random(n))
+
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        idx = self._cum.searchsorted(rng.random(n), "right")
-        # The last cumulative probability can round below 1, and a draw
-        # above it lands one past the end. np.minimum costs a few µs less
-        # per call than np.clip, which shows on short draws.
-        np.minimum(idx, len(self.values) - 1, out=idx)
-        return self.values[idx]
+        return self.values[self.sample_index(rng, n)]
 
     def __len__(self) -> int:
         return len(self.values)

@@ -124,7 +124,13 @@ time, kind code and frame columns, with no Python object per event.
 Stage delays come from six seeded draw streams, one per stage, contended
 and uncontended. Each draws in chunks of 64 values at first, doubling up
 to 4096, so a short run draws little more than it reads; the values a
-stream yields do not depend on the chunk sizes.
+stream yields do not depend on the chunk sizes. A draw is one uniform,
+turned into a support index through the distribution's guide table (see
+`DelayDist._index`), which returns exactly the index a binary search of
+the cumulative probabilities gives, in about constant time per value. Each
+stream rounds its support values to int64 ns once and yields the entries
+at the drawn indices; rounding a draw's ms value gives the same entry, so
+no value changes.
 """
 
 from bisect import bisect_right
@@ -328,11 +334,12 @@ def _chunks(dist: DelayDist, rng: np.random.Generator):
     `_FIRST_CHUNK` values doubling up to `_CHUNK`. `rng.random(a)` then
     `rng.random(b)` gives the values of `rng.random(a + b)`, and the rest
     of a draw works value by value, so the values do not depend on the
-    chunk sizes."""
+    chunk sizes. Each draw picks its support value's ns entry, rounded once
+    per stream, which is the value rounding the draw's ms value gives."""
+    ns = np.rint(dist.values * _MS).astype(np.int64)
     n = _FIRST_CHUNK
     while True:
-        ms = np.full(n, dist.min) if len(dist) == 1 else dist.sample_array(rng, n)
-        yield np.rint(ms * _MS).astype(np.int64)
+        yield np.full(n, ns[0]) if len(ns) == 1 else ns[dist.sample_index(rng, n)]
         n = min(2 * n, _CHUNK)
 
 
@@ -346,14 +353,18 @@ def _delayed(chunks, head: np.ndarray):
 
 
 def _camera_timeline(cfg: SimConfig, rng: np.random.Generator):
-    """Capture, queuing-decision, and delivery instants (ns) per frame."""
+    """Capture, queuing-decision, and delivery instants (ns) per frame; the
+    decision and delivery arrays end with one more slot holding `_NEVER`,
+    the sentinel `_run_cycles` reads."""
     cam, usb = cfg.camera, cfg.usb
     cycle_ns = cam.cycle_ms * _MS
     n_frames = math.ceil(cfg.duration_ms * _MS / cycle_ns)
-    capture = np.rint(np.arange(n_frames) * cycle_ns).astype(np.int64)
+    # A last slot, at 0, gives the sentinel its place.
+    capture = np.zeros(n_frames + 1, dtype=np.int64)
+    capture[:-1] = np.rint(np.arange(n_frames) * cycle_ns)
     if cfg.capture_jitter_ms > 0:
         j = int(round(cfg.capture_jitter_ms * _MS))
-        capture = capture + rng.integers(-j, j + 1, n_frames)
+        capture[:-1] += rng.integers(-j, j + 1, n_frames)
         capture[0] = max(capture[0], 0)
 
     u_ns = int(round(usb.microframe_ms * _MS))
@@ -366,7 +377,8 @@ def _camera_timeline(cfg: SimConfig, rng: np.random.Generator):
     end_tx = start + n_micro * u_ns
     decision = phase + urb_ns * ((start - phase) // urb_ns + 1)
     delivery = phase + urb_ns * -(-(end_tx - phase) // urb_ns)
-    return capture, decision, delivery
+    decision[-1] = delivery[-1] = _NEVER
+    return capture[:-1], decision, delivery
 
 
 def _max_plus(now, alpha_sum, arrival, lag):
@@ -395,10 +407,17 @@ def _admitted(decision, dequeue, queue_size, queued, ptr):
     so k - r_k rises by 1 per frame within them and they admit a prefix:
     with R_n = max(R_{n-1}, E_n - n) from R_{-1} = Z_0, interval n admits
     the frames k in (E_{n-1}, min(E_n, R_{n-1} + n)].
+
+    So the walk drops nothing exactly when every E_n - n is at most Z_0, the
+    running maximum never rising: then it admits every frame decided by the
+    last retrieval.
     """
     ends = np.searchsorted(decision[ptr:], dequeue, "right")
     n = np.arange(len(dequeue))
-    room = np.maximum.accumulate(np.concatenate(([queue_size - len(queued)], ends - n)))
+    rise = ends - n
+    if len(rise) and rise.max() <= queue_size - len(queued):
+        return np.concatenate((queued, ptr + np.arange(ends[-1])))
+    room = np.maximum.accumulate(np.concatenate(([queue_size - len(queued)], rise)))
     first = np.concatenate(([0], ends[:-1]))
     count = np.minimum(ends, room[:-1] + n) - first
     frames = np.arange(count.sum()) + np.repeat(ptr + first - np.cumsum(count) + count, count)
@@ -558,7 +577,8 @@ def _cycles(dec, dlv, n_frames, queue_size, theta_ns, now, ptr, queue, fetch, ot
 def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
     """The detector cycle loop of every variant (see the module docstring).
 
-    `decision` and `delivery` are per-frame instants in ns; `queue_size`
+    `decision` and `delivery` are per-frame instants in ns, each followed by
+    a `_NEVER` sentinel, as `_camera_timeline` builds them; `queue_size`
     is the FIFO size Q (0 for the queueless variants) and `theta_ns` the
     fetch release delay. `draws` yields, for cycles 0, 1, ... in chunks, the
     arrays of each cycle's fetch time, its slowest other stage running
@@ -586,11 +606,9 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
     instant, and a head is decided by its retrieval, so no read passes the
     fill.
     """
-    n_frames = len(decision)
-    # The instants with a `_NEVER` sentinel appended, read by blocks and fills.
-    dec_s, dlv_s = np.append(decision, _NEVER), np.append(delivery, _NEVER)
+    n_frames = len(decision) - 1
     # W, the longest a retrieval waits past its release (see the docstring).
-    wait = int(np.max(delivery[1:] - decision[:-1], initial=delivery[0])) if n_frames else 0
+    wait = int(np.max(delivery[1:-1] - decision[:-2], initial=delivery[0])) if n_frames else 0
     # The instants the stretches read, as lists; frames no stretch reads, and
     # those before `cleared`, are None.
     dec, dlv = [], []
@@ -607,7 +625,7 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
             if guess is not None:
                 j = min(len(fetch), i + window)
                 h, c, now, ptr, queue = _solve_block(
-                    guess, dec_s, dlv_s, queue_size, theta_ns, now, ptr, queue,
+                    guess, decision, delivery, queue_size, theta_ns, now, ptr, queue,
                     fetch[i:j], other[i:j], after[i:j])
                 heads.append(h)
                 lens.append(c)
@@ -625,12 +643,12 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
             cyc = np.maximum(fetch[i:j], other[i:j]) + after[i:j]
             end = now + (j - i) * (theta_ns + wait) + int(cyc.sum()) if cyc.max() < 1 << 50 else _NEVER
             # Fill through the first frame decided after `end`, or the sentinel.
-            top = int(np.searchsorted(decision, min(end, _NEVER), "right")) + 1
+            top = int(np.searchsorted(decision[:-1], min(end, _NEVER), "right")) + 1
             if top > len(dec):
                 # Frames behind the FIFO head or `ptr` are read no more; each
                 # is cleared once, or set to None when the lists skip it.
                 low = queue[0] if queue else ptr
-                for filled, source in ((dec, dec_s), (dlv, dlv_s)):
+                for filled, source in ((dec, decision), (dlv, delivery)):
                     filled[cleared:low] = [None] * (low - cleared)
                     filled += source[len(filled):top].tolist()
                 cleared = low
@@ -743,6 +761,8 @@ def _simulate(cfg: SimConfig, streams) -> SimResult:
     fifo_size = min(queue_size, max(n_frames, 1))
     fetched, cyc_len, last_other = _run_cycles(
         decision, delivery, fifo_size, theta_ns, cycle_draws())
+    # Past the loop, the instants without their sentinel.
+    decision, delivery = decision[:-1], delivery[:-1]
 
     n_fetched = len(fetched)
     warnings: list[str] = []

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from pipedelay.dist import (
@@ -234,6 +234,58 @@ class TestSampling:
         d = DelayDist.from_points([(0.5, 0.2), (1.5, 0.3), (9.0, 0.5)])
         xs = d.sample_array(np.random.default_rng(3), 5000)
         assert set(np.unique(xs)) <= {0.5, 1.5, 9.0}
+
+    def test_guide_index_is_the_binary_search(self):
+        _guide_property(DelayDist._index)()
+
+    def test_guide_index_needs_its_fallback(self):
+        """The property catches a kernel that stops after the forward step:
+        clustered tiny probabilities put several cut points in one bucket."""
+        with pytest.raises(AssertionError):
+            _guide_property(_without_fallback, shrink=False)()
+
+
+def _without_fallback(d: DelayDist, u: np.ndarray) -> np.ndarray:
+    """`DelayDist._index` without its binary search of the values still
+    behind their cut point."""
+    cut, guide, size = d._guide
+    idx = guide[(u * size).astype(np.intp)]
+    idx += cut[idx] <= u
+    return idx
+
+
+def _guide_property(kernel, shrink=True):
+    """The property that `kernel(d, u)` is the binary search
+    min(searchsorted(_cum, u, "right"), K - 1), on distributions of 1 to
+    600 points: a run of `length` points from `start` has its probabilities
+    scaled by `tiny`, and the largest one moves by `drift` units of 2^-53,
+    so the cumulative sums can end a few ulps off 1. u holds every bucket
+    edge b/G, 0, 1 - 2^-53, every cut point and its neighbours, and 500
+    uniforms."""
+    phases = (Phase.explicit, Phase.generate) + ((Phase.shrink,) if shrink else ())
+
+    @settings(max_examples=150, deadline=None, phases=phases)
+    @given(k=st.integers(1, 600), seed=st.integers(0, 2**32 - 1), start=st.integers(0, 600),
+           length=st.integers(0, 600), tiny=st.sampled_from([1.0, 1e-4, 1e-9, 1e-15]),
+           drift=st.integers(-6, 6))
+    @example(k=40, seed=0, start=10, length=20, tiny=1e-9, drift=-3)
+    def check(k, seed, start, length, tiny, drift):
+        rng = np.random.default_rng(seed)
+        probs = rng.random(k) + 0.01
+        probs[start:start + length] *= tiny
+        probs /= probs.sum()
+        probs[probs.argmax()] += drift * 2.0**-53
+        d = DelayDist(np.arange(k, dtype=np.float64), probs)
+        _, _, size = d._guide
+        cum = d._cum
+        u = np.concatenate((np.arange(size) / size, [0.0, 1 - 2.0**-53],
+                            cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+                            rng.random(500)))
+        u = u[u < 1.0]
+        want = np.minimum(cum.searchsorted(u, "right"), k - 1)
+        assert kernel(d, u).tolist() == want.tolist()
+
+    return check
 
 
 class TestCsvIngestion:
