@@ -46,18 +46,20 @@ from 0:
 - Phased shape: nothing is contended. Cycle n reads fetch n, inference n
   and display n-1; drain cycle F only displays.
 
-So `run` turns each chunk of the streams into the draws of the cycles
-that read it (fetch, slowest other stage, phased inference) with numpy
-before the loop, and adds the drain cycles after it.
-
 The loop carries the recurrence state only: the cycle start t, the next
 undecided frame and the FIFO. With h_n the frame cycle n fetches (its
-head) and f_n, o_n, a_n its fetch, other and after draws, the cycle
-length max(deq + f - t, o) + a with deq = max(delivery[h], t + theta)
-gives
+head) and f_n, o_n, a_n its fetch, slowest other stage and phased
+inference (else 0), the cycle length max(deq + f - t, o) + a with deq =
+max(delivery[h], t + theta) gives
 
     t_{n+1} = max(t_n + alpha_n, beta_n),
-    alpha_n = max(theta + f_n, o_n) + a_n,  beta_n = delivery[h_n] + f_n + a_n.
+    alpha_n = max(theta + f_n, o_n) + a_n,  beta_n = delivery[h_n] + f_n + a_n,
+
+where delivery[h_n] may stand in for deq, as t_n + alpha_n >= t_n + theta +
+f_n + a_n. So `run` turns each chunk of the streams into the alpha_n and
+f_n + a_n of the cycles that read it with numpy before the loop, along with
+o_n, which only the first drain cycle reads, and adds the drain cycles
+after the loop.
 
 Given the heads, a block of cycles is solved exactly in max-plus algebra
 (Baccelli et al., Synchronization and Linearity, 1992): with S_n the sum
@@ -106,12 +108,15 @@ to, stays per-cycle almost entirely. Like the draw schedule, the path never
 changes a result: every cycle a block keeps is one the loop would have run
 with the same head and length.
 
-The per-cycle loop passes over frames dropped at a full FIFO, or skipped
-by a queueless variant, with one bisection of the decision instants per
-admission. It reads the instants from lists filled once per stretch up to
-a reach bounded from its draws, so a run solved in blocks converts few of
-them, and cleared behind the FIFO head, so a run that stays per-cycle
-holds few of them at a time. Both paths record the fetched frames and the
+The per-cycle loop steps the same recurrence one cycle at a time, and
+passes over frames dropped at a full FIFO, or skipped by a queueless
+variant, with forward scans of the decision instants: the next undecided
+frame never moves back, so the scans take one step per frame, O(frames)
+over a run. It reads the instants from lists that hold the frames from
+the FIFO head (or the next undecided frame) at the last fill on, filled
+once per stretch up to a reach bounded from its draws, so a run solved in
+blocks converts few of them and a run that stays per-cycle holds few of
+them at a time. Both paths record the fetched frames and the
 cycle lengths as int64 pieces; retrieval instants, display ends, drops,
 queue occupancy, admission depths, cycle starts, steady-cycle masks and
 fetch blocking are derived from these after the loop, in linear time: one
@@ -133,7 +138,6 @@ at the drawn indices; rounding a draw's ms value gives the same entry, so
 no value changes.
 """
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
 import math
@@ -434,16 +438,17 @@ def _heads(decision, instants, queue_size, queued, ptr):
 
 
 def _solve_block(guess, decision, delivery, queue_size, theta_ns,
-                 now, ptr, queue, fetch, other, after):
+                 now, ptr, queue, alpha, tail):
     """Solve the next cycles as one block from one guess of their heads
     (see the module docstring) and keep the prefix that verifies.
 
     `guess` is "never_binds" (the fetch never binds) or "no_drop" (no frame
     is dropped or skipped).
     `decision` and `delivery` end with a `_NEVER` sentinel; `now`, `ptr` and
-    `queue` are the loop state before the block, and `fetch`, `other` and
-    `after` are its cycles' draws. Returns the verified prefix's fetched
-    frames and cycle lengths as int64 arrays and the loop state after it.
+    `queue` are the loop state before the block, and `alpha` and `tail`
+    are its cycles' alpha_n and f_n + a_n. Returns the verified prefix's
+    fetched frames and cycle lengths as int64 arrays and the loop state
+    after it.
 
     The first heads H are the no-drop guess, or, when the fetch never binds,
     the heads rule's at the releases t_0 + S + theta. Each round solves t
@@ -478,14 +483,14 @@ def _solve_block(guess, decision, delivery, queue_size, theta_ns,
     held = len(queue)
     queued = np.fromiter(queue, np.int64, held)
     n_frames = len(delivery) - 1
-    alpha_sum = np.zeros(len(fetch) + 1, dtype=np.int64)
-    np.cumsum(np.maximum(fetch + theta_ns, other) + after, out=alpha_sum[1:])
+    alpha_sum = np.zeros(len(alpha) + 1, dtype=np.int64)
+    np.cumsum(alpha, out=alpha_sum[1:])
     # As t_n >= t_0 + S_n, every frame is decided by the release of cycle
     # `drained` or earlier, and from then on only the Q queued frames are left.
     drained = int(np.searchsorted(alpha_sum, decision[n_frames - 1] - now - theta_ns))
-    w = min(len(fetch), n_frames - ptr + held, drained + queue_size)
-    fetch, after, alpha_sum = fetch[:w], after[:w], alpha_sum[:w + 1]
-    lag = fetch + after - alpha_sum[1:]  # beta_n - S_{n+1} - delivery[h_n]
+    w = min(len(alpha), n_frames - ptr + held, drained + queue_size)
+    alpha_sum = alpha_sum[:w + 1]
+    lag = tail[:w] - alpha_sum[1:]  # beta_n - S_{n+1} - delivery[h_n]
     if guess == "never_binds":
         # t = t_0 + S, so the releases, and the retrievals from a FIFO, fall
         # at t_0 + S + theta.
@@ -519,59 +524,61 @@ def _solve_block(guess, decision, delivery, queue_size, theta_ns,
     return line[:p], np.diff(start[:p + 1]), int(start[p]), ptr, deque(line[p:k].tolist())
 
 
-def _cycles(dec, dlv, n_frames, queue_size, theta_ns, now, ptr, queue, fetch, other, after):
+def _cycles(dec, dlv, end, queue_size, theta_ns, base, now, ptr, queue, alpha, tail):
     """Run cycles one by one from the loop state `now`, `ptr` and `queue`
-    (changed in place) with the per-cycle draw lists. `dec` and `dlv` list
-    the decision and delivery instants through the first frame decided
-    after every instant the cycles reach, or through a `_NEVER` sentinel
-    (see `_run_cycles`).
-    Returns the fetched frames and cycle lengths as lists, `now` and `ptr`
-    after them, and the `other` draw of the first cycle that found no frame
-    (None while frames are left).
+    (changed in place) with the per-cycle lists of alpha_n and f_n + a_n.
+    `dec` and `dlv` list the decision and delivery instants of the frames
+    from `base` on, through the first frame decided after every instant the
+    cycles reach, or through a `_NEVER` sentinel (see `_run_cycles`). `ptr`
+    and `end`, the number of frames, count from `base`; the FIFO holds
+    absolute frame numbers.
+    Returns the fetched frames, counted from `base`, the cycle starts from
+    `now` on, one more than the cycles run, and `ptr`. It stops at the first
+    cycle that finds no frame.
 
-    Admission is written out twice rather than called, which saves a call
-    per cycle: in order, every frame decided by the instant is accepted
-    while the FIFO has room, and once it is full the rest are passed over
-    as dropped with one bisection (the FIFO only drains at retrievals).
+    A cycle steps t' = max(t + alpha, deq + f + a), which is t plus the
+    cycle length max(deq + f - t, o) + a, as the retrieval instant deq =
+    max(delivery[h], t + theta) is at least t + theta; as t + alpha >= t +
+    theta + f + a, delivery[h] stands in for deq there.
+    Admission is a forward scan, written out twice rather than called, which
+    saves a call per cycle: in order, every frame decided by the instant is
+    accepted while the FIFO has room and passed over as dropped (or skipped)
+    once it is full, where it stays, as it only drains at retrievals. `ptr`
+    never moves back, so the scans take one step per frame over a run.
     """
     room_after_fetch = queue_size - 1
-    heads, lens = [], []
-    for fetch_t, other_t, after_t in zip(fetch, other, after):
+    heads, starts = [], [now]
+    for alpha_t, tail_t in zip(alpha, tail):
         release = now + theta_ns
         while dec[ptr] <= release:
-            if len(queue) == queue_size:
-                ptr = bisect_right(dec, release, ptr)
-                break
-            queue.append(ptr)
+            if len(queue) < queue_size:
+                queue.append(ptr + base)
             ptr += 1
         if queue:
-            head = queue.popleft()
-        elif ptr < n_frames:
+            head = queue.popleft() - base
+        elif ptr < end:
             # Starved: the next frame to be decided is taken on arrival; with
             # a FIFO it is accepted and retrieved at once.
             head = ptr
             ptr += 1
         else:
-            return heads, lens, now, ptr, other_t
-        deq = dlv[head]
-        if deq < release:
-            deq = release
+            break
         # Frames decided up to the retrieval instant still find the head in
-        # its buffer: Q - 1 buffers are left for them.
+        # its buffer: Q - 1 buffers are left for them. A head delivered by
+        # the release is retrieved at it, and the scan above passed every
+        # frame decided by then.
+        deq = dlv[head]
         while dec[ptr] <= deq:
-            if len(queue) >= room_after_fetch:
-                ptr = bisect_right(dec, deq, ptr)
-                break
-            queue.append(ptr)
+            if len(queue) < room_after_fetch:
+                queue.append(ptr + base)
             ptr += 1
         heads.append(head)
-        cycle = deq + fetch_t - now
-        if cycle < other_t:
-            cycle = other_t
-        cycle += after_t
-        lens.append(cycle)
-        now += cycle
-    return heads, lens, now, ptr, None
+        now += alpha_t
+        deq += tail_t
+        if now < deq:
+            now = deq
+        starts.append(now)
+    return heads, starts, ptr
 
 
 def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
@@ -581,52 +588,51 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
     a `_NEVER` sentinel, as `_camera_timeline` builds them; `queue_size`
     is the FIFO size Q (0 for the queueless variants) and `theta_ns` the
     fetch release delay. `draws` yields, for cycles 0, 1, ... in chunks, the
-    arrays of each cycle's fetch time, its slowest other stage running
-    alongside the fetch, and the time that runs after both (the phased
-    inference, else 0). It runs the fetching cycles and returns the fetched
-    frames, their cycle lengths and the `other` draw of the first cycle
-    that found no frame; `run` adds the drain cycles and derives everything
-    else from these.
+    arrays of each cycle's alpha = max(theta + f, o) + a, its f + a and its
+    o, from its fetch time f, its slowest other stage o running alongside
+    the fetch and the time a that runs after both (the phased inference,
+    else 0). It runs the fetching cycles and returns the fetched frames,
+    their cycle lengths and the o of the first cycle that found no frame;
+    `run` adds the drain cycles and derives everything else from these.
 
     Cycles run in per-cycle stretches (`_cycles`) and verified blocks
     (`_solve_block`), chosen by the predictor of the module docstring; a
     block keeps only verified cycles, so the result is the loop's.
 
-    A stretch reads the instants from lists, filled before it runs from the
-    FIFO head (or the next undecided frame) through the first frame decided
-    after `end`, or through the `_NEVER` sentinel, and cleared behind that
-    head, as the loop never goes back. A retrieval waits at most
+    A stretch reads the instants from lists that hold the frames from
+    `base`, the FIFO head (or the next undecided frame) at the last fill,
+    as the loop never goes back. A fill runs through the first frame decided
+    after `end`, or through the `_NEVER` sentinel. A retrieval waits at most
     W = max(delivery[0], delivery[k] - decision[k - 1] over k) past its
     release: a queued head k was decided by the release, and decisions never
     decrease; a starved head k is the first frame decided after it, so frame
     k - 1 was decided by it, and releases fall at or after 0. So a cycle
-    lasts at most theta + W + max(f, o) + a, and no release or retrieval of
-    the stretch passes `end`, now plus the sum of these over its cycles.
-    Admissions and bisections stop at the first frame decided after their
-    instant, and a head is decided by its retrieval, so no read passes the
-    fill.
+    lasts at most alpha + W, as deq + f + a <= t + theta + W + f + a <= t +
+    alpha + W, and no release or retrieval of the stretch passes `end`, now
+    plus the sum of these over its cycles. Admissions stop at the first
+    frame decided after their instant, and a head is decided by its
+    retrieval, so no read passes the fill.
     """
     n_frames = len(decision) - 1
     # W, the longest a retrieval waits past its release (see the docstring).
     wait = int(np.max(delivery[1:-1] - decision[:-2], initial=delivery[0])) if n_frames else 0
-    # The instants the stretches read, as lists; frames no stretch reads, and
-    # those before `cleared`, are None.
+    # The instants of the frames from `base` on that the stretches read.
     dec, dlv = [], []
-    cleared = 0
+    base = 0
     queue = deque()
     ptr = now = 0
     heads, lens = [], []
     stretch = window = _FIRST_CHUNK
     guess = None
 
-    for fetch, other, after in draws:
+    for alpha, tail, other in draws:
         i = 0
-        while i < len(fetch):
+        while i < len(alpha):
             if guess is not None:
-                j = min(len(fetch), i + window)
+                j = min(len(alpha), i + window)
                 h, c, now, ptr, queue = _solve_block(
                     guess, decision, delivery, queue_size, theta_ns, now, ptr, queue,
-                    fetch[i:j], other[i:j], after[i:j])
+                    alpha[i:j], tail[i:j])
                 heads.append(h)
                 lens.append(c)
                 i += len(c)
@@ -636,35 +642,33 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
                 if len(c) < _FIRST_CHUNK // 2:
                     stretch = min(2 * stretch, _CHUNK)
                 guess, window = None, _FIRST_CHUNK
-            j = min(len(fetch), i + stretch)
-            f, o, a = fetch[i:j].tolist(), other[i:j].tolist(), after[i:j].tolist()
+            j = min(len(alpha), i + stretch)
             # Terms below 2^50 ns sum exactly in int64 over a stretch's at
             # most 4096 cycles; with a longer one the fill runs to the sentinel.
-            cyc = np.maximum(fetch[i:j], other[i:j]) + after[i:j]
-            end = now + (j - i) * (theta_ns + wait) + int(cyc.sum()) if cyc.max() < 1 << 50 else _NEVER
+            alphas = alpha[i:j]
+            end = now + int(alphas.sum()) + (j - i) * wait if alphas.max() < 1 << 50 else _NEVER
             # Fill through the first frame decided after `end`, or the sentinel.
             top = int(np.searchsorted(decision[:-1], min(end, _NEVER), "right")) + 1
-            if top > len(dec):
-                # Frames behind the FIFO head or `ptr` are read no more; each
-                # is cleared once, or set to None when the lists skip it.
+            if top > base + len(dec):
+                # Frames behind the FIFO head or `ptr` are read no more.
                 low = queue[0] if queue else ptr
                 for filled, source in ((dec, decision), (dlv, delivery)):
-                    filled[cleared:low] = [None] * (low - cleared)
-                    filled += source[len(filled):top].tolist()
-                cleared = low
-            h, c, now, ptr, last = _cycles(dec, dlv, n_frames, queue_size, theta_ns,
-                                           now, ptr, queue, f, o, a)
-            heads.append(np.array(h, dtype=np.int64))
-            lens.append(np.array(c, dtype=np.int64))
-            if last is not None:
-                return np.concatenate(heads), np.concatenate(lens), last
+                    del filled[:low - base]
+                    filled += source[low + len(filled):top].tolist()
+                base = low
+            h, starts, ptr = _cycles(dec, dlv, n_frames - base, queue_size, theta_ns, base, now,
+                                     ptr - base, queue, alphas.tolist(), tail[i:j].tolist())
+            now, ptr = starts[-1], ptr + base
+            heads.append(np.array(h, dtype=np.int64) + base)
+            lens.append(np.diff(starts))
+            if len(h) < j - i:
+                return np.concatenate(heads), np.concatenate(lens), int(other[i + len(h)])
             # The predictor reads the second half of the stretch, at most its
             # last 64 cycles: past a start-up or a change of regime.
             m = max((j - i) // 2, j - i - _FIRST_CHUNK)
             if h[-1] - h[m] == j - i - 1 - m:
                 guess = "no_drop"
-            elif (len(queue) == max(queue_size - 1, 0) and lens[-1][m:].sum()
-                  == (np.maximum(fetch[i + m:j] + theta_ns, other[i + m:j]) + after[i + m:j]).sum()):
+            elif len(queue) == max(queue_size - 1, 0) and now - starts[m] == alphas[m:].sum():
                 guess = "never_binds"
             elif queue_size:
                 guess = "no_drop"
@@ -754,7 +758,8 @@ def _simulate(cfg: SimConfig, streams) -> SimResult:
     def cycle_draws():
         for f, i, d in zip(fetch, infer, disp):
             disp_read.append(d)
-            yield (f, d, i) if phased else (f, np.maximum(i, d), np.zeros_like(f))
+            other, after = (d, i) if phased else (np.maximum(i, d), 0)
+            yield np.maximum(f + theta_ns, other) + after, f + after, other
 
     # A FIFO never holds more frames than the run captures, so the loop runs
     # a larger one as one of n_frames buffers (at least one), in int64.

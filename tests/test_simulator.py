@@ -1058,8 +1058,10 @@ class TestBlockSolver:
         queueless block of as few cycles."""
         decision = np.arange(1, 21, dtype=np.int64) * 10 * _MS
         dec_s, dlv_s = (np.append(x, sim._NEVER) for x in (decision, decision + 5 * _MS))
-        draws = [np.full(w, _MS), np.full(w, 25 * _MS), np.zeros(w, dtype=np.int64)]
-        args = (guess, dec_s, dlv_s, queue_size, 0, 60 * _MS, ptr, deque(queued), *draws)
+        fetch, other, after = np.full(w, _MS), np.full(w, 25 * _MS), np.zeros(w, dtype=np.int64)
+        theta_ns = 0
+        args = (guess, dec_s, dlv_s, queue_size, theta_ns, 60 * _MS, ptr, deque(queued),
+                np.maximum(fetch + theta_ns, other) + after, fetch + after)
         out = sim._solve_block(*args)
         assert len(out[1]) == (1 if guess == "no_drop" and not queue_size else w)
         _assert_hands_back_the_loop_state(args, out)
@@ -1069,13 +1071,116 @@ def _assert_hands_back_the_loop_state(args, out):
     """Replay the per-cycle loop over the cycles a `sim._solve_block` call
     kept, from the state the block started in, and require the block's
     heads, cycle lengths and state after them."""
-    _, dec_s, dlv_s, queue_size, theta_ns, now, ptr, queue, *draws = args
+    _, dec_s, dlv_s, queue_size, theta_ns, now, ptr, queue, alpha, tail = args
     heads, lens, *state = out
     loop_queue = deque(queue)
-    loop = sim._cycles(dec_s.tolist(), dlv_s.tolist(), len(dec_s) - 1, queue_size, theta_ns,
-                       now, ptr, loop_queue, *(d[:len(lens)].tolist() for d in draws))
+    loop_heads, starts, loop_ptr = sim._cycles(
+        dec_s.tolist(), dlv_s.tolist(), len(dec_s) - 1, queue_size, theta_ns, 0, now, ptr,
+        loop_queue, alpha[:len(lens)].tolist(), tail[:len(lens)].tolist())
     assert (heads.tolist(), lens.tolist(), state[0], state[1], list(state[2])) == (
-        loop[0], loop[1], loop[2], loop[3], list(loop_queue))
+        loop_heads, np.diff(starts).tolist(), starts[-1], loop_ptr, list(loop_queue))
+
+
+def _cycles_by_bisection(dec, dlv, n_frames, queue_size, theta_ns, now, ptr, queue,
+                         fetch, other, after):
+    """The per-cycle loop as it ran with the fetch, other and after draws of
+    each cycle and whole instant lists: the cycle length max(deq + f - t, o)
+    + a, and frames passed over at a full FIFO with one bisection of the
+    decision instants. Returns the fetched frames, the cycle lengths, `now`
+    and `ptr` after them, and the `other` draw of the first cycle that found
+    no frame (None while frames are left)."""
+    room_after_fetch = queue_size - 1
+    heads, lens = [], []
+    for fetch_t, other_t, after_t in zip(fetch, other, after):
+        release = now + theta_ns
+        while dec[ptr] <= release:
+            if len(queue) == queue_size:
+                ptr = bisect_right(dec, release, ptr)
+                break
+            queue.append(ptr)
+            ptr += 1
+        if queue:
+            head = queue.popleft()
+        elif ptr < n_frames:
+            head = ptr
+            ptr += 1
+        else:
+            return heads, lens, now, ptr, other_t
+        deq = dlv[head]
+        if deq < release:
+            deq = release
+        while dec[ptr] <= deq:
+            if len(queue) >= room_after_fetch:
+                ptr = bisect_right(dec, deq, ptr)
+                break
+            queue.append(ptr)
+            ptr += 1
+        heads.append(head)
+        cycle = deq + fetch_t - now
+        if cycle < other_t:
+            cycle = other_t
+        cycle += after_t
+        lens.append(cycle)
+        now += cycle
+    return heads, lens, now, ptr, None
+
+
+@st.composite
+def _loop_states(draw):
+    """A loop state and the draws of the cycles run from it: nondecreasing
+    decision instants with repeats, each frame delivered at or after its
+    decision, a FIFO of 0, 1, 2, 5 or more buffers than frames holding some
+    frames before `ptr`, and the first frame `base` the instant lists hold.
+    Small integer instants and draws put many releases and retrievals on a
+    decision instant."""
+    decision = np.cumsum(draw(st.lists(st.integers(0, 3), max_size=24))).tolist()
+    delivery = [d + draw(st.integers(0, 6)) for d in decision]
+    n = len(decision)
+    queue_size = draw(st.sampled_from([0, 1, 2, 5, n + 1]))
+    ptr = draw(st.integers(0, n))
+    queued = sorted(draw(st.sets(st.integers(0, max(ptr - 1, 0)),
+                                 max_size=min(queue_size, ptr))))
+    base = draw(st.integers(0, queued[0] if queued else ptr))
+    draws = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2)),
+                          min_size=1, max_size=30))
+    return (decision, delivery, queue_size, draw(st.integers(0, 3)), draw(st.integers(0, 8)),
+            ptr, queued, base, draws)
+
+
+class TestCycleLoop:
+    """The per-cycle loop steps t' = max(t + alpha, delivery[h] + f + a) and
+    passes over frames with forward scans of lists held from `base` on. It
+    must run the cycles the loop with the cycle length max(deq + f - t, o)
+    + a and bisections over whole lists runs, from the same state."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(state=_loop_states())
+    # With one buffer, the release at 2 falls on the decision instant of
+    # frames 1 and 2, and the retrieval of frame 0 at 4 on that of frame 3.
+    @example(state=([0, 2, 2, 4, 7], [4, 4, 5, 6, 9], 1, 2, 0, 0, [], 0,
+                    [(1, 0, 0), (0, 3, 1), (2, 2, 0), (1, 1, 1)]))
+    # Queueless, with the lists held from frame 2: the release at 3 falls on
+    # the decision instant of three frames, and the frames run out.
+    @example(state=([0, 1, 3, 3, 3, 5, 8], [1, 3, 3, 4, 5, 8, 8], 0, 0, 3, 2, [], 2,
+                    [(0, 0, 0), (2, 1, 0), (0, 4, 2), (1, 0, 0), (3, 3, 0), (0, 0, 0)]))
+    def test_forward_scans_match_bisections(self, state):
+        decision, delivery, queue_size, theta, now, ptr, queued, base, draws = state
+        dec, dlv = decision + [sim._NEVER], delivery + [sim._NEVER]
+        n = len(decision)
+        fetch, other, after = (list(d) for d in zip(*draws))
+        want_queue = deque(queued)
+        want = _cycles_by_bisection(dec, dlv, n, queue_size, theta, now, ptr, want_queue,
+                                    fetch, other, after)
+        alpha = [max(f + theta, o) + a for f, o, a in draws]
+        tail = [f + a for f, _, a in draws]
+        got_queue = deque(queued)
+        heads, starts, got_ptr = sim._cycles(dec[base:], dlv[base:], n - base, queue_size,
+                                             theta, base, now, ptr - base, got_queue,
+                                             alpha, tail)
+        ran_out = other[len(heads)] if len(heads) < len(draws) else None
+        assert ([h + base for h in heads], np.diff(starts).tolist(), starts[-1],
+                got_ptr + base, list(got_queue), ran_out) == (
+                    want[0], want[1], want[2], want[3], list(want_queue), want[4])
 
 
 class TestRetrievalWait:
@@ -1328,12 +1433,13 @@ class TestRunEpilogue:
     def test_per_cycle_peak_stays_near_its_result(self):
         """One simulated hour of default contention_free, which runs nearly
         every cycle one by one, peaks below 2.5 times the bytes of its
-        result's arrays in traced allocations (1.85 times): the per-cycle
-        loop clears the instants behind the FIFO head or the next undecided
-        frame, and reads the instants' sentinel from the slot the camera
+        result's arrays in traced allocations (1.51 times): the per-cycle
+        loop holds the instants from the FIFO head or the next undecided
+        frame on, and reads the instants' sentinel from the slot the camera
         timeline leaves for it. Holding every frame's instants as Python ints
-        took 3.6 times, and copying both instant arrays to append the
-        sentinel 2.3 times."""
+        took 3.6 times, copying both instant arrays to append the sentinel
+        2.3 times, and lists that set the instants behind the head to None
+        1.85 times."""
         peak, r = _hour_peak("default", "contention_free")
         assert r.frames_captured == 108000
         assert peak < 2.5 * _result_bytes(r), (peak, _result_bytes(r))
