@@ -10,8 +10,6 @@ overlap, a run drifts between the two. The three shipped case scenarios
 are calibrated to land in one regime each.
 """
 
-import numpy as np
-
 from pipedelay import Vanilla, analyze, load_scenario, run
 
 for name in ("case1", "case2", "case3"):
@@ -29,9 +27,10 @@ for name in ("case1", "case2", "case3"):
     print(f"  measured      {delays.min():7.2f} .. {delays.max():7.2f} ms"
           f"  (mean {delays.mean():.2f}, {len(delays)} frames, "
           f"{result.drops} dropped)")
-    # Occupancy tells the same story from the queue's point of view.
-    occ = result.occupancy_depth
-    print(f"  occupancy     peak {occ.max()} of {scenario.queue_size}"
+    # Occupancy tells the same story from the queue's point of view. The
+    # queue is deepest right after an accept: the frames ahead, plus one.
+    peak = result.admit_ahead.max() + 1
+    print(f"  occupancy     peak {peak} of {scenario.queue_size}"
           + ("" if result.first_full_ms is None
              else f", first full at {result.first_full_ms:.0f} ms"))
     print()

@@ -3,8 +3,10 @@
 All delays are in milliseconds. A distribution is a finite list of
 (value, probability) points with strictly increasing values and
 probabilities that sum to one. Sums of independent delays are exact
-convolutions, maxima of independent delays are combined through CDF
-products, so no sampling error enters the analytical path.
+convolutions and maxima of independent delays are combined through CDF
+products, so the stage distributions the simulator draws from, and
+`service_distribution`, carry no sampling error. The analytical bounds
+read only support extremes (`StageProfile.extremes`).
 """
 
 from dataclasses import dataclass

@@ -116,15 +116,15 @@ over a run. It reads the instants from lists that hold the frames from
 the FIFO head (or the next undecided frame) at the last fill on, filled
 once per stretch up to a reach bounded from its draws, so a run solved in
 blocks converts few of them and a run that stays per-cycle holds few of
-them at a time. Both paths record the fetched frames and the
-cycle lengths as int64 pieces; retrieval instants, display ends, drops,
-queue occupancy, admission depths, cycle starts, steady-cycle masks and
-fetch blocking are derived from these after the loop, in linear time: one
-stable sort merges the accepts and retrievals (see `_occupancy`). Each
-field in ms replaces its ns source, of the same size, as it is built, so
-the conversions hold at most one array beyond the result. A traced run
-keeps its events as columns (see `Trace`), ordered by one lexsort of the
-time, kind code and frame columns, with no Python object per event.
+them at a time. Both paths record the fetched frames and the cycle
+lengths as int64 pieces; the rest of the result is derived from these
+after the loop, through the cycle starts and display ends, in linear
+time: one stable sort merges the accepts and retrievals into the FIFO
+depths (see `_occupancy`). Each field in ms replaces its ns source, of
+the same size, as it is built, so the conversions hold at most one array
+beyond the result. A traced run keeps its events as columns (see
+`Trace`), ordered by one lexsort of the time, kind code and frame
+columns, with no Python object per event.
 
 Stage delays come from six seeded draw streams, one per stage, contended
 and uncontended. Each draws in chunks of 64 values at first, doubling up
@@ -283,21 +283,18 @@ class SimResult:
     admit_ahead: np.ndarray          # queue depth seen at admission
     queue_delays: np.ndarray         # delivery -> retrieval wait
     detector_delays: np.ndarray      # retrieval -> display completion
-    display_end_ms: np.ndarray
     steady_frame_mask: np.ndarray    # full pipeline on both sides
 
-    # Cycles.
-    cycle_start_ms: np.ndarray
+    # Cycles, back to back from 0: each starts at the sum of the lengths
+    # before it.
     cycle_times: np.ndarray          # all cycle lengths
     cycle_steady_mask: np.ndarray    # every pipeline slot occupied
 
-    # Queue occupancy (time, depth) at each change; empty for queueless variants.
-    occupancy_ms: np.ndarray
-    occupancy_depth: np.ndarray
+    # The instant of the first accept that fills the FIFO, None if none
+    # does; the trace's accepts and retrievals give the whole occupancy.
     first_full_ms: float | None
 
     # Injected objects.
-    object_times: np.ndarray
     object_frame: np.ndarray         # capturing frame index, -1 if never captured
     e2e_delays: np.ndarray           # NaN where the object was never displayed
     camera_delays: np.ndarray        # appearance -> delivery, NaN where missed
@@ -678,10 +675,9 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
 
 
 def _occupancy(accept, retrieve):
-    """The FIFO occupancy from the nondecreasing accept and retrieval
-    instants of the same frames, in order: both instants merged, the depth
-    after each, and the depth each frame found at its accept (`ahead`) and
-    left behind at its retrieval.
+    """The FIFO depths from the nondecreasing accept and retrieval instants
+    of the same frames, in order: the depth each frame found at its accept
+    (`ahead`) and left behind at its retrieval.
 
     A stable sort of the two runs merges them in linear time (Knuth, TAOCP
     vol. 3, 5.2.4), an accept first at a tie, as a frame decided at a
@@ -690,14 +686,9 @@ def _occupancy(accept, retrieve):
     (accepts up to it): accept k found 2k minus its position ahead of it,
     and retrieval m left its position minus 2m - 1 behind.
     """
-    events = np.concatenate((accept, retrieve))
-    order = np.argsort(events, kind="stable")
-    is_accept = order < len(accept)
-    events = events[order]
-    del order
-    depth = np.cumsum(2 * is_accept - 1)
+    is_accept = np.argsort(np.concatenate((accept, retrieve)), kind="stable") < len(accept)
     twice = 2 * np.arange(len(accept))
-    return events, depth, twice - np.flatnonzero(is_accept), np.flatnonzero(~is_accept) - twice - 1
+    return twice - np.flatnonzero(is_accept), np.flatnonzero(~is_accept) - twice - 1
 
 
 def _sorted_trace(events) -> Trace:
@@ -798,12 +789,13 @@ def _simulate(cfg: SimConfig, streams) -> SimResult:
     # With a queue, the accepted frames are exactly the fetched ones, in
     # order; without a queue there is no occupancy.
     if queue_size:
-        occ_ns, occ_depth, ahead, left_behind = _occupancy(decision[fetched], dequeue_ns)
+        ahead, left_behind = _occupancy(decision[fetched], dequeue_ns)
     else:
         ahead = left_behind = np.zeros(n_fetched, dtype=np.int64)
-        occ_ns = occ_depth = np.zeros(0, dtype=np.int64)
-    full = np.flatnonzero(occ_depth == queue_size)
-    first_full = int(occ_ns[full[0]]) / _MS if len(full) else None
+    # Only an accept fills the FIFO: it is first full at the first accept
+    # that finds Q - 1 frames ahead.
+    filled = ahead == queue_size - 1
+    first_full = int(decision[fetched[filled.argmax()]]) / _MS if filled.any() else None
 
     trace = None
     if cfg.trace:
@@ -854,9 +846,8 @@ def _simulate(cfg: SimConfig, streams) -> SimResult:
     ns = dict(b_fetch_ms=dequeue_ns - cyc_start[:n_fetched] - theta_ns,
               queue_delays=dequeue_ns - delivery[fetched], detector_delays=disp_ns - dequeue_ns,
               capture_ms=capture, decision_ms=decision, delivery_ms=delivery,
-              dequeue_ms=dequeue_ns, display_end_ms=disp_ns, cycle_start_ms=cyc_start,
-              cycle_times=cyc_len, occupancy_ms=occ_ns, object_times=obj_ns)
-    del capture, decision, delivery, dequeue_ns, disp_ns, cyc_start, cyc_len, occ_ns, left_behind
+              dequeue_ms=dequeue_ns, cycle_times=cyc_len)
+    del capture, decision, delivery, dequeue_ns, disp_ns, cyc_start, cyc_len, left_behind
 
     return SimResult(
         variant_name=cfg.variant.name,
@@ -866,7 +857,6 @@ def _simulate(cfg: SimConfig, streams) -> SimResult:
         admit_ahead=ahead,
         steady_frame_mask=steady,
         cycle_steady_mask=cyc_steady,
-        occupancy_depth=occ_depth,
         first_full_ms=first_full,
         object_frame=object_frame,
         e2e_delays=e2e,

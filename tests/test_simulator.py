@@ -181,8 +181,8 @@ class TestMicroHandTrace:
     def test_cycle_schedule(self, result, phi):
         # Cycle 0 only fetches; cycles 1..9 are paced by the 10 ms wait
         # for the next arrival; the last two drain the pipeline.
-        starts = result.cycle_start_ms
         lens = result.cycle_times
+        starts = np.cumsum(lens) - lens
         assert len(lens) == 12
         assert starts[0] == 0.0
         assert lens[0] == pytest.approx(4.0 + phi, abs=1e-6)
@@ -214,8 +214,8 @@ class TestMicroHandTrace:
         assert result.camera_delays[0] == pytest.approx(2.0 + phi, abs=1e-6)
 
     def test_occupancy_never_exceeds_queue(self, result):
-        assert result.occupancy_depth.max() == 1
-        assert result.occupancy_depth.min() == 0
+        # The FIFO is deepest right after an accept.
+        assert result.admit_ahead.max() + 1 == 1
         assert result.first_full_ms is not None
 
 
@@ -301,7 +301,6 @@ class TestConservationAndCausality:
         assert np.all(result.capture_ms[f] < result.delivery_ms[f])
         assert np.all(result.decision_ms[f] <= result.delivery_ms[f])
         assert np.all(result.delivery_ms[f] <= result.dequeue_ms + 1e-9)
-        assert np.all(result.dequeue_ms < result.display_end_ms)
 
     def test_delays_nonnegative(self, result):
         assert np.all(result.queue_delays >= 0)
@@ -318,13 +317,13 @@ class TestQueueBehaviour:
     def test_saturated_queue_reaches_capacity_and_drops(self):
         r = run(heavy_config())
         assert r.first_full_ms is not None
-        assert r.occupancy_depth.max() == 4
+        assert r.admit_ahead.max() + 1 == 4
         assert r.drops > 0
 
     def test_occupancy_bounded_by_queue_size(self):
         for q in (1, 2, 3):
             r = run(heavy_config(variant=Vanilla(q), duration_ms=5000.0))
-            assert r.occupancy_depth.max() <= q
+            assert r.admit_ahead.max() + 1 <= q
 
     def test_arrival_intervals_two_point(self):
         r = run(heavy_config(duration_ms=60000.0))
@@ -352,7 +351,8 @@ class TestQueuelessVariants:
     def test_on_demand_has_no_queue_wait(self):
         r = run(heavy_config(variant=OnDemand()))
         assert np.allclose(r.queue_delays, 0.0)
-        assert len(r.occupancy_depth) == 0
+        assert np.all(r.admit_ahead == 0)
+        assert r.first_full_ms is None
 
     def test_on_demand_blocking_within_bounds(self):
         r = run(heavy_config(variant=OnDemand()))
@@ -515,143 +515,145 @@ _DIGEST_VARIANTS = {
 # bit, so a simulator refactor that is meant to keep results must keep them;
 # a change that moves results on purpose records new ones and says why. All
 # were recorded again at commit 5315850 without the field per_stage_busy,
-# deleted after it; the other fields were unchanged since each was recorded.
+# deleted after it, and at commit 4a5c8b7 without display_end_ms,
+# cycle_start_ms, occupancy_ms, occupancy_depth and object_times, deleted
+# after it; the other fields were unchanged since each was recorded.
 RECORDED_DIGESTS = {
     "micro/vanilla4": [
-        "286cf78db7ed124b", "ebaa7aacdde88783",
-        "b3422bc4a3e5dd8f", "7535204f18656af1",
+        "d7302b359cb2e9d4", "cd5be6c3435e908d",
+        "f2138f230dd6afb0", "990fcf6f09cb2cc4",
     ],
     "micro/vanilla1": [
-        "19a170d87223815a", "f23a15051f736d6c",
-        "a6228f0b1f20590b", "c4583ed02d9b07a2",
+        "6e62d4afae41fbb9", "dcfaab90d7568a37",
+        "ffa966fa1bec26c3", "d84a225f462b9d1c",
     ],
     "micro/vanilla0": [
-        "0e407af184d61c66", "5e82f72ab4460f7f",
-        "e7c477d6f41039cb", "46b3f03b617a0f23",
+        "d7302b359cb2e9d4", "cd5be6c3435e908d",
+        "be741975d7f61b76", "ebc26e387bc26b9e",
     ],
     "micro/on_demand": [
-        "3c4b2a9533f37eef", "a6491785bf8e8713",
-        "17ba2c3f12e7035b", "0b145e6eb55e2acf",
+        "3187dcb313cbb68a", "1353097d3bfdbeb2",
+        "aeece07a0db98b75", "b779a588efe448d2",
     ],
     "micro/zero_slack": [
-        "ee9945e1b8ca899e", "c0b60dfd44c0fa3d",
-        "8684ca95373b77bb", "76d24e3781160e62",
+        "be87344ada145059", "6747e32ff5fcb91c",
+        "687ebbc73af12787", "fdb3c8a9c3f00ce5",
     ],
     "micro/contention_free": [
-        "24ffff6b1d649797", "3b092f98526cbda2",
-        "22f01edbcfdb6a09", "4e914038882dd6e1",
+        "82b0e1e9c69d3e0d", "74cf68ec632847bf",
+        "509b36cf88060e88", "899b5b9829b98ca3",
     ],
     "heavy/vanilla4": [
-        "ef1a44e85f65ed5c", "f8920cf0b2370f23",
-        "85312aafd7076f74", "57be810f39473599",
+        "4c122d3a48bc9bf3", "87f115256f22283d",
+        "1310cf0cf49d9f24", "0ed6a62620f81013",
     ],
     "heavy/vanilla1": [
-        "db6f92ec688f8de8", "c7b33a478392d546",
-        "7c09c15b8b1b1ddb", "28fbffba42939b4c",
+        "c84cf7e55371aa11", "d06029fc98035167",
+        "11be066a6cb4f430", "ce2a3cb1b4c3642d",
     ],
     "heavy/vanilla0": [
-        "2c29578f2e78b0ae", "78a5253ff96979fe",
-        "341a4c9b327acc54", "299361d7f67fa827",
+        "2971b89099f63911", "b5fe16453c1538c0",
+        "f92d696a578abf1f", "54a83f029b3482fd",
     ],
     "heavy/on_demand": [
-        "dcba6930f0d74f82", "7a4441f87efcb072",
-        "9d08492e5bc7771b", "ec12460d8b97dd54",
+        "88424111dda7d896", "75b0c4b81e268615",
+        "e2131fd30f5d84d4", "6d429a1ef58c219b",
     ],
     "heavy/zero_slack": [
-        "78e59c549dbcca2c", "622bed62af99def2",
-        "b014181698aa3689", "3d014f4c8ecf5fff",
+        "58f766e6da4f7635", "3f9426c402d758d8",
+        "1da97994f1c2000d", "0bcecbd31a658e39",
     ],
     "heavy/contention_free": [
-        "28cd32994086c75d", "63ae8ab46ea68128",
-        "9f4aeaecbbb869b3", "5f5d8076785ff721",
+        "23e418021a8bc7a8", "09ee42b3ac153f7f",
+        "8d0de72964b29c9a", "2338eed1774146a2",
     ],
     "case1/vanilla4": [
-        "406a05c27585ddb8", "7d8dae28c3c657ad",
-        "f80493b9368f02c4", "4212f87b84a9eb1f",
+        "7d0c342ff25ca823", "f27cc307cb07afce",
+        "d50c07ab473be6b8", "56ecd727f41b114f",
     ],
     "case1/vanilla1": [
-        "afc7975baedcde8f", "f9d1b974d0f3adfe",
-        "b1c7673a95d70f3a", "f90c62b545ee658b",
+        "a934302e73c86bd1", "632b0be3a02ca241",
+        "99a24eaef57caba4", "102ff30cca58a433",
     ],
     "case1/vanilla0": [
-        "9fe41a25330a4a89", "085774702f96df73",
-        "e75812441855cd07", "473f39a25920be4e",
+        "7d0c342ff25ca823", "99af859934f8acf4",
+        "129d2bacf467851e", "a63795ffb1b7ffa0",
     ],
     "case1/on_demand": [
-        "7bddbd6bab24f92d", "e961588d3c0c618f",
-        "cb9a01a93fbc128c", "2fc42b632e20e4d4",
+        "1c98f1521bc47920", "8622cc2a3c2bc525",
+        "2ec1ceb83dc924d4", "5ea25a7f150df4cc",
     ],
     "case1/zero_slack": [
-        "a634e3ecbde3ecd4", "0ffc074127eba1ee",
-        "7977a3bd0fb81962", "ee69490260414c29",
+        "8779548efc7ac9bc", "be18ae597065bd5c",
+        "0a60314ffca3335a", "50e9c03071fe0966",
     ],
     "case1/contention_free": [
-        "0dfd1ad6973448f7", "69d316bb9efca1e1",
-        "dc79f838b2ed90fd", "ef05c98b5cfb1e64",
+        "885bb8c83ad300bc", "792a2e7c4cf13339",
+        "f3ce89921acfd69f", "cb490212e57f316c",
     ],
     "case2/vanilla4": [
-        "353946f9cf62d8e8", "89cb8357326f8026",
-        "ceb62a6349e775d3", "8af4df34ff8ac1a1",
+        "9c9bb9d703350731", "3663c25fdd9ef074",
+        "497b1c8acb505b83", "e5437908bd431af8",
     ],
     "case2/vanilla1": [
-        "9b806641bbd6814e", "69bf6ac56b90de6a",
-        "422576c00e4b6948", "2c5933f057743194",
+        "72d882740f74d564", "0a4082dba6db7a5d",
+        "409a201e040955f0", "6e53457413534d8c",
     ],
     "case2/vanilla0": [
-        "c40ebe2095d2bef9", "35c772602030da1c",
-        "306517d36070af4d", "6e094aa6c028c7e0",
+        "5ecb4ea282e6ac8c", "adee7d9672dd81e6",
+        "98130c7118704370", "940ed572ef868b3a",
     ],
     "case2/on_demand": [
-        "1480d87cb869dd59", "718e4d2824a44000",
-        "c9802ad12b0f66ca", "915b2a8ea0bcad57",
+        "473d3741b02508f6", "d727cf4e11038b2c",
+        "3eb9e37016c0f582", "19aa14fcf762cba9",
     ],
     "case2/zero_slack": [
-        "e26ef9f5ce594ec7", "3f3c1eb037067264",
-        "fb6fd2c75c4cb335", "0995ccc577af18ee",
+        "e95a4bd97e908930", "b109bc6752f56786",
+        "d690148b9cb62c6d", "b1365b2c21671973",
     ],
     "case2/contention_free": [
-        "9d7bfb88531d303d", "8e9de0b6b6fa8a32",
-        "a1633500b202b4d9", "0cb017035aaee7a5",
+        "acb3dbd7c1d348db", "28a1fcb81db878fc",
+        "9c2367164db87164", "a5191dab999406b4",
     ],
     "case3/vanilla4": [
-        "249cda4d354bb13b", "38416e9f47cf3742",
-        "05216348d0a9c67c", "31eeb22a4acbedf6",
+        "b7a613fa64cae180", "9ff1ade54c24782a",
+        "10db976047c8820e", "c63b6981bebccf49",
     ],
     "case3/vanilla1": [
-        "925e5a0a6837a652", "3face93ec8ded3ae",
-        "e6acb1f0335902bc", "d8bae98ce279e2c1",
+        "5903b19037738902", "c9579a852c39a7df",
+        "2dd17491ddb88e1c", "e6bc29d09b6942e2",
     ],
     "case3/vanilla0": [
-        "d4506bfde6300977", "a0722f9324de6c80",
-        "2d2e91a36f0c758f", "792e119b0a82556c",
+        "41f370255234cd88", "52c12d7fc65c2a4a",
+        "b2d0fc4d3ae03af2", "19958265bbeb6a57",
     ],
     "case3/on_demand": [
-        "d3d19fe1dcddf51b", "64f8b527813d581c",
-        "03f72eb0bd25ac4b", "f94cfaedaa3c9137",
+        "09f64550efa1acdd", "bf9c9a20c1ba0caf",
+        "1ecc8d3dc7a79b41", "9b094de738d6534e",
     ],
     "case3/zero_slack": [
-        "54af7813389fbc5d", "96b120f70a106e9f",
-        "aeac492356a84424", "763cc798314cc80c",
+        "8aca165f17177052", "8615cd4f2ff4413d",
+        "36996c4470d9b365", "b6a1304c63e26c7c",
     ],
     "case3/contention_free": [
-        "1332de9d4dcf6347", "08b267d0e4f2fd6e",
-        "c4b09dddae640b85", "9337d0565625c19c",
+        "45bddf65bebdf6ab", "ea04e6d68398e153",
+        "daa411ea883fa746", "b89545a6b54a7d4c",
     ],
     # Edge cases of the bookkeeping derived after the cycle loop: shared
     # decision and retrieval instants, no fetch, a single fetch. First
     # recorded at commit 48cd535; each is the untraced and the traced run.
-    "shared/vanilla1": ["d7596d038350983d", "1aa888d8c37e1b8b"],
-    "shared/vanilla4": ["0b6cdd1bc44c745c", "59949b3828e35521"],
-    "shared/vanilla0": ["5394e166baf0ef4b", "b11022a3b3a05262"],
-    "shared/on_demand": ["e30a3f7e69616e03", "ee588b8dc530a457"],
-    "zero/vanilla4": ["fbbe0391af735f1b", "8342a4bd11ad3f32"],
-    "zero/vanilla1": ["962f78f26a645582", "12caaf7ffe224e1d"],
-    "zero/on_demand": ["0f0bcdf2a84856f6", "9ec0430e49354e48"],
-    "zero/contention_free": ["f98c2fb66ea0551e", "c34a871f2dcb884a"],
-    "idle/zero_slack": ["f7cf7d738de4c37d", "5b9238156561ce30"],
-    "single/vanilla1": ["2598c012a7a966a4", "a91557e7c744a5fe"],
-    "single/on_demand": ["da961cfa49fbd439", "a77de3d96c9ce341"],
-    "single/contention_free": ["53b573129c46cfb4", "6a33c731fe0b5448"],
+    "shared/vanilla1": ["5cb34b12eead15ac", "cd27d04f2b3e236d"],
+    "shared/vanilla4": ["9f84fc4463d5234a", "c84e60daee00a814"],
+    "shared/vanilla0": ["0aaba9f1770aa723", "86dfb8f1fdf77afb"],
+    "shared/on_demand": ["eb6f48d09d7db42b", "a805788856e58724"],
+    "zero/vanilla4": ["4d3542829cecbbc1", "3387d889ebfb3984"],
+    "zero/vanilla1": ["cd02e2331accb6e0", "c4d947f9d5bad0db"],
+    "zero/on_demand": ["7121780a2a962a1f", "a7e159df0eebd3aa"],
+    "zero/contention_free": ["7724aa3ba6409e7a", "68f054d9206604fc"],
+    "idle/zero_slack": ["b59f8c362dec892b", "91e04001af8264e6"],
+    "single/vanilla1": ["b9c40a9e3ec79dc8", "84cc87c19f9517a3"],
+    "single/on_demand": ["b16ac7d1c2b1634a", "579d58992245df53"],
+    "single/contention_free": ["27a86e3621315ed4", "133bfb14e312ce39"],
 }
 
 
@@ -710,68 +712,70 @@ def _pinned_short_runs():
 
 
 # Digests of every SimResult field, recorded at commit 5315850 (before the
-# stage draws left the cycle loop) without the since deleted per_stage_busy.
+# stage draws left the cycle loop) without the since deleted per_stage_busy,
+# and again at commit 4a5c8b7 without the five fields deleted after it (see
+# RECORDED_DIGESTS).
 PINNED_GATE = {
-    "0.vanilla": "764a28a9d576c82c",
-    "1.on_demand": "349f3d485abd7dce",
-    "2.zero_slack": "663a6955c59b447c",
-    "3.contention_free": "3b602e1e75de4a71",
-    "4.vanilla": "97883da8855f103f",
-    "5.on_demand": "9e1956972f465c2e",
-    "6.zero_slack": "7b9feda854294ac5",
-    "7.contention_free": "906ac2e3517917c4",
-    "8.vanilla": "5bf7572be3ae3adc",
-    "9.on_demand": "792208c7232db362",
-    "10.zero_slack": "8906fb0d4ade2070",
-    "11.contention_free": "ef61488c2b9c2287",
-    "12.vanilla": "c8ce8992e9efc7ff",
-    "13.on_demand": "172c5d7f70f77306",
-    "14.zero_slack": "b3d3e1329f9d846e",
-    "15.contention_free": "3e809aedf3c9d530",
-    "16.vanilla": "9cb4098ef0f0ab7e",
-    "17.on_demand": "dc7d9be5aa6c7dcb",
-    "18.zero_slack": "8cd9b2df88afd2de",
-    "19.contention_free": "9e4c4f77d7548c95",
-    "20.vanilla": "52ebf815eb1f5698",
-    "21.on_demand": "8d151cf4e78aae69",
-    "22.zero_slack": "d112c10612580824",
-    "23.contention_free": "78bb860ad3d31d81",
-    "24.vanilla": "d4a84821a05370fb",
-    "25.on_demand": "9621f6e154eff32d",
-    "26.zero_slack": "0589c9ef5516a4b8",
-    "27.contention_free": "14f25ca7b5ebddcd",
-    "28.vanilla": "28ca0ae1240c411d",
-    "29.on_demand": "68ac58ca673307c0",
-    "30.zero_slack": "867e3ee45f93d1c0",
-    "31.contention_free": "d3df0fbfe4d2ffe8",
-    "32.vanilla": "31ca3b4ab3b14503",
-    "33.on_demand": "5475a67051deae4c",
-    "34.zero_slack": "5d2a12f032b03df8",
-    "35.contention_free": "b619018638cd9418",
-    "36.vanilla": "57aabce5b400bf61",
-    "37.on_demand": "285959f9288da444",
-    "38.zero_slack": "8c8c08089337b6ce",
-    "39.contention_free": "5070b92deb23f783",
+    "0.vanilla": "81c3524dff4af29e",
+    "1.on_demand": "5346ca6296280a30",
+    "2.zero_slack": "9cb9d27fc6675a4b",
+    "3.contention_free": "2571688cc7466cef",
+    "4.vanilla": "6d82577f2d86ab87",
+    "5.on_demand": "a5dfae35276a8080",
+    "6.zero_slack": "1d651ea37950dca7",
+    "7.contention_free": "c2b1971706ff248a",
+    "8.vanilla": "c0e0aebb1c500b8d",
+    "9.on_demand": "e174bcf82981d28d",
+    "10.zero_slack": "ec85d2056893fbb3",
+    "11.contention_free": "57ba94c0d791f054",
+    "12.vanilla": "ef7e749c3499f0a1",
+    "13.on_demand": "9258cd67f04b3f02",
+    "14.zero_slack": "bab58501009c6ba8",
+    "15.contention_free": "a875d0600ad03a37",
+    "16.vanilla": "630135decde97536",
+    "17.on_demand": "e8d66ce3778bb1e0",
+    "18.zero_slack": "3b5a438f6118d3d1",
+    "19.contention_free": "d7c1faf30e861d43",
+    "20.vanilla": "14520dc1f603a65f",
+    "21.on_demand": "64c965589c2fc950",
+    "22.zero_slack": "531282f192cd0991",
+    "23.contention_free": "fd3feaab9575a198",
+    "24.vanilla": "2b5c98ebd4e6ccbf",
+    "25.on_demand": "c79190c29effe98a",
+    "26.zero_slack": "46f5aab338af961d",
+    "27.contention_free": "e1cfbd0ccbc0f3c3",
+    "28.vanilla": "6a4c2d585f65007b",
+    "29.on_demand": "6ea8b6de26b6edf5",
+    "30.zero_slack": "11eda5305a2bcc37",
+    "31.contention_free": "93e8054757cbf4b5",
+    "32.vanilla": "6eed2e35ba6489b8",
+    "33.on_demand": "700a7fdc7e0dd406",
+    "34.zero_slack": "2369751892c82366",
+    "35.contention_free": "d9b930469527acb2",
+    "36.vanilla": "a67d0d7354349b63",
+    "37.on_demand": "f5131136b1286f38",
+    "38.zero_slack": "398a183f64893f2f",
+    "39.contention_free": "1578e0285bb3ed07",
 }
 PINNED_PRESETS = {
-    "default.vanilla": "5e3c9cfacf544575",
-    "default.on_demand": "dedbe630a099f23b",
-    "default.zero_slack": "900e8ebb9d7b5c9b",
-    "default.contention_free": "5a660e3f23a6127e",
-    "case1.vanilla": "abc8bec58025b455",
-    "case2.vanilla": "5e3c9cfacf544575",
-    "case3.vanilla": "42a4928340cf54d9",
+    "default.vanilla": "477da467b8ee5eba",
+    "default.on_demand": "ab9925edead57b63",
+    "default.zero_slack": "70837a77eaf6a910",
+    "default.contention_free": "001059452c3f1807",
+    "case1.vanilla": "ae0c90783917dc8a",
+    "case2.vanilla": "477da467b8ee5eba",
+    "case3.vanilla": "043b0a4bf6b18d11",
 }
 PINNED_SHORT = {
-    "vanilla.1": "e66fe8193fe6d4ca",
-    "vanilla.2": "7a142717d75dc6b2",
-    "vanilla.3": "449774f8895f8cdd",
-    "on_demand.1": "d40319ae92c6439e",
-    "on_demand.2": "c1dff786c75a4d68",
-    "on_demand.3": "e27ce4a6eb3ffee0",
-    "contention_free.1": "08de1076e0438243",
-    "contention_free.2": "d4371cd107ceeb0a",
-    "contention_free.3": "b516af74f2bed877",
+    "vanilla.1": "719ff6841b110927",
+    "vanilla.2": "bd6a1692122fcda0",
+    "vanilla.3": "91ddd405a28d3b75",
+    "on_demand.1": "4d5d4c70adf67147",
+    "on_demand.2": "bd36a0550bc569b3",
+    "on_demand.3": "0f57f1e30bae7de4",
+    "contention_free.1": "7dd2ed3ca05ce5e8",
+    "contention_free.2": "edbc34c3e7637acb",
+    "contention_free.3": "a5f7f4f4714e4a24",
 }
 
 
@@ -827,29 +831,30 @@ def _pinned_block_runs():
 # Digests of every SimResult field, recorded at commit 9409505, before the
 # block solver; the walk_* runs at commit 66041ce, before the admission walk;
 # saturated.vanilla8 at commit 108ba97, before the walk verified every block
-# of a FIFO run.
+# of a FIFO run. All were recorded again at commit 4a5c8b7 without the five
+# fields deleted after it (see RECORDED_DIGESTS).
 PINNED_BLOCKS = {
-    "drop.vanilla1": "879856201e3ed634",
-    "drop.vanilla4": "3ae42fae4e4b3f9b",
-    "skip.on_demand": "025f7d47b8c3a6c2",
-    "skip.zero_slack": "6c773f43a33d94fe",
-    "starved.vanilla1": "b1cf6fc8a46502b2",
-    "waits.vanilla2": "99c2255ff2bb7150",
-    "unsaturated.vanilla4": "5fecb323a634f398",
-    "walk_drop.vanilla1": "c1d9b4bc50000c20",
-    "walk_starved.vanilla1": "13a913bf7e0ca892",
-    "saturated.vanilla8": "1ef77cc725f4795b",
-    "end.vanilla1": "e1fb123578063932",
-    "end.on_demand": "00ad520c896242a6",
-    "end.zero_slack": "c424979b9a64f079",
-    "end.vanilla4": "8352e4ffded6a7e1",
-    "end.contention_free": "00e0e89e6ce8c84a",
-    "short.vanilla4": "19bbd9a2d22b59e7",
-    "short.on_demand": "9f0fad960b6262e8",
-    "short.contention_free": "f6d16bd8006ef4a9",
-    "zero.vanilla4": "73ba74bf142116e8",
-    "zero.on_demand": "faf0bbda6abda8ad",
-    "shared.vanilla2": "9996261592b318c5",
+    "drop.vanilla1": "8d964f93f84f345a",
+    "drop.vanilla4": "b566c99616ff5ef1",
+    "skip.on_demand": "b6dab1d4d2e657d6",
+    "skip.zero_slack": "a2892a202f014d79",
+    "starved.vanilla1": "60c719868776611e",
+    "waits.vanilla2": "b414f5e6b0035129",
+    "unsaturated.vanilla4": "cb31a4107187ccb8",
+    "walk_drop.vanilla1": "9ee16bbdc7f30525",
+    "walk_starved.vanilla1": "9977c610fc26c167",
+    "saturated.vanilla8": "cfcad4b0e4667763",
+    "end.vanilla1": "3ac4beb6e1453d1d",
+    "end.on_demand": "2b4418c90cf6aace",
+    "end.zero_slack": "f9d0a20faf1d43a8",
+    "end.vanilla4": "68e009474fc01370",
+    "end.contention_free": "589a052c98d78488",
+    "short.vanilla4": "85c2258bd95fd944",
+    "short.on_demand": "5f1e56f386ac61c2",
+    "short.contention_free": "68f25d77b2aa546d",
+    "zero.vanilla4": "3ec443de1c45398d",
+    "zero.on_demand": "2a70409f2c614d0f",
+    "shared.vanilla2": "08b5984af119136f",
 }
 
 
@@ -1230,12 +1235,13 @@ class TestBookkeepingMatchesTrace:
 
     def test_queue_replay(self, runs):
         """Replaying accepts and retrievals in trace order gives back the
-        occupancy points, the admission depths and the first full instant."""
+        depths the trace records, the admission depths and the first full
+        instant."""
         queued = [(v.queue_size, r) for v, r in runs if v.queue_size]
         assert len(queued) >= 12
         for q, r in queued:
             depth = 0
-            times, depths, ahead = [], [], []
+            full, ahead = [], []
             for t, kind, _, detail in r.trace:
                 if kind == "accept":
                     ahead.append(depth)
@@ -1245,11 +1251,8 @@ class TestBookkeepingMatchesTrace:
                 else:
                     continue
                 assert detail == depth
-                times.append(t)
-                depths.append(depth)
-            full = [t for t, d in zip(times, depths) if d == q]
-            assert np.array_equal(np.asarray(times, dtype=np.int64) / 1_000_000, r.occupancy_ms)
-            assert np.array_equal(np.asarray(depths, dtype=np.int64), r.occupancy_depth)
+                if depth == q:
+                    full.append(t)
             assert np.array_equal(np.asarray(ahead, dtype=np.int64), r.admit_ahead)
             assert r.first_full_ms == (full[0] / 1_000_000 if full else None)
 
@@ -1377,29 +1380,19 @@ class TestTraceColumns:
 
 def _occupancy_by_search(accept, retrieve):
     """`sim._occupancy` by binary searches rather than a merge: accept k
-    lands after the retrievals strictly before it, retrieval m after the
-    accepts up to it, and the merged arrays are filled by scatter."""
+    finds the retrievals strictly before it gone, and retrieval m leaves the
+    accepts up to it, minus its own and the retrievals before it, behind."""
     order = np.arange(len(accept))
-    retrieved_before = np.searchsorted(retrieve, accept, side="left")
-    accepted_by = np.searchsorted(accept, retrieve, side="right")
-    ahead = order - retrieved_before
-    left_behind = accepted_by - order - 1
-    occ_ns = np.empty(2 * len(accept), dtype=np.int64)
-    occ_depth = np.empty(2 * len(accept), dtype=np.int64)
-    occ_ns[order + retrieved_before] = accept
-    occ_depth[order + retrieved_before] = ahead + 1
-    occ_ns[order + accepted_by] = retrieve
-    occ_depth[order + accepted_by] = left_behind
-    return occ_ns, occ_depth, ahead, left_behind
+    ahead = order - np.searchsorted(retrieve, accept, side="left")
+    left_behind = np.searchsorted(accept, retrieve, side="right") - order - 1
+    return ahead, left_behind
 
 
 # The SimResult fields that hold arrays: the bytes a run's result takes.
 _RESULT_ARRAYS = (
     "capture_ms", "decision_ms", "delivery_ms", "fetched_frames", "dequeue_ms",
-    "b_fetch_ms", "admit_ahead", "queue_delays", "detector_delays", "display_end_ms",
-    "steady_frame_mask", "cycle_start_ms", "cycle_times", "cycle_steady_mask",
-    "occupancy_ms", "occupancy_depth", "object_times", "object_frame", "e2e_delays",
-    "camera_delays",
+    "b_fetch_ms", "admit_ahead", "queue_delays", "detector_delays", "steady_frame_mask",
+    "cycle_times", "cycle_steady_mask", "object_frame", "e2e_delays", "camera_delays",
 )
 
 
@@ -1409,10 +1402,10 @@ class TestRunEpilogue:
            start=st.integers(-3, 3))
     @example(gaps=[], start=0)
     def test_occupancy_merge_matches_search(self, gaps, start):
-        """The stable-sort merge gives the occupancy, admission depths and
-        depths left behind that binary searches give, with instants shared
-        within and across the accepts and the retrievals, and the same
-        dtypes; also with no frame."""
+        """The stable-sort merge gives the admission depths and depths left
+        behind that binary searches give, with instants shared within and
+        across the accepts and the retrievals, and the same dtypes; also
+        with no frame."""
         accept = np.cumsum(np.asarray([a for a, _ in gaps], dtype=np.int64))
         retrieve = start + np.cumsum(np.asarray([r for _, r in gaps], dtype=np.int64))
         got = sim._occupancy(accept, retrieve)
@@ -1424,8 +1417,9 @@ class TestRunEpilogue:
     def test_run_peak_stays_near_its_result(self):
         """One simulated hour of case1 (108,000 frames, all fetched) peaks
         below 1.6 times the bytes of its result's arrays in traced
-        allocations: each ms field replaces its ns source as it is built.
-        Building every field while all the ns arrays lived took 2.07 times."""
+        allocations (11.8 MB for 8.9 MB, 1.33 times): each ms field replaces
+        its ns source as it is built. Building every field while all the ns
+        arrays lived took 2.07 times a result of five more arrays."""
         peak, r = _hour_peak("case1", "vanilla")
         assert r.frames_fetched == r.frames_captured == 108000
         assert peak < 1.6 * _result_bytes(r), (peak, _result_bytes(r))
@@ -1433,13 +1427,14 @@ class TestRunEpilogue:
     def test_per_cycle_peak_stays_near_its_result(self):
         """One simulated hour of default contention_free, which runs nearly
         every cycle one by one, peaks below 2.5 times the bytes of its
-        result's arrays in traced allocations (1.51 times): the per-cycle
-        loop holds the instants from the FIFO head or the next undecided
-        frame on, and reads the instants' sentinel from the slot the camera
-        timeline leaves for it. Holding every frame's instants as Python ints
-        took 3.6 times, copying both instant arrays to append the sentinel
-        2.3 times, and lists that set the instants behind the head to None
-        1.85 times."""
+        result's arrays in traced allocations (6.2 MB for 3.8 MB, 1.64
+        times): the per-cycle loop, which sets the peak, holds the instants
+        from the FIFO head or the next undecided frame on, and reads the
+        instants' sentinel from the slot the camera timeline leaves for it.
+        Against a result of five more arrays (4.1 MB), holding every frame's
+        instants as Python ints took 3.6 times, copying both instant arrays
+        to append the sentinel 2.3 times, lists that set the instants behind
+        the head to None 1.85 times, and this loop 1.51 times."""
         peak, r = _hour_peak("default", "contention_free")
         assert r.frames_captured == 108000
         assert peak < 2.5 * _result_bytes(r), (peak, _result_bytes(r))
