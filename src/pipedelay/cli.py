@@ -249,12 +249,15 @@ def cmd_sweep(args, parser) -> int:
             points.append((value_of(point), point))
         except ScenarioError as exc:
             raise ScenarioError(f"--values: {args.param} {token}: {exc}") from None
-    rows = []
+    rows, notes = [], []
     for value, point in sorted(points, key=lambda p: p[0]):
         r = run(point.sim_config(point.variants[0], seed=args.seed))
         rows.append((args.param, value, r.e2e_mean_p99()[0], r.mean_cycle_ms()))
+        notes.extend(f"{args.param} {_fmt(value)}: {w}" for w in r.warnings)
     headers = ("param", "value", "mean_e2e_ms", "mean_cycle_ms")
     _emit(headers, rows, args.format)
+    for note in notes:
+        print(f"note: {note}")
     if args.out:
         _write(args.out, {"sweep.csv": _csv(headers, rows)})
     return 0

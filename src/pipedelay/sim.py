@@ -86,13 +86,11 @@ There are two guesses, and each only gives the starting heads:
   and FIFO runs that drop and starve in turn): the queued frames, then
   consecutive ones.
 
-One verifier checks every block. It iterates heads -> t -> deq_n =
-max(delivery[h_n], t_n + theta) -> the heads rule's heads, for at most
-`_WALK_ROUNDS` rounds with a FIFO and one round without (there a head one
-frame off moves the next cycle by about a capture interval, so the rounds
-would not converge), and keeps the prefix on which the rule returns the
-heads t was solved from. Whatever the starting heads, that prefix and the
-loop state after it are the loop's by causality (see `_solve_block`).
+One verifier checks every block, in one pass: heads -> t -> deq_n =
+max(delivery[h_n], t_n + theta) -> the heads rule's heads, keeping the
+prefix on which the rule returns the heads t was solved from. Whatever the
+starting heads, that prefix and the loop state after it are the loop's by
+causality (see `_solve_block`).
 
 A predictor picks the path. After each per-cycle stretch it reads the
 stretch's second half, at most its last 64 cycles: consecutive heads point
@@ -100,13 +98,13 @@ to the no-drop guess, and cycles that all lasted alpha (their sum is the
 alpha sum, as no cycle is shorter) with max(Q - 1, 0) frames left in the
 FIFO point to the fetch-never-binds guess. With a FIFO, any other
 stretch points to the no-drop guess too; without one the next stretch
-doubles instead, up to 4096 cycles. A speculation window starts at 64
-cycles and doubles while its guess verifies in full, which also sets the
-stretch back to 64; a window that fails within 32 cycles doubles the
-stretch. contention_free, whose every fetch waits on the frame it skipped
-to, stays per-cycle almost entirely. Like the draw schedule, the path never
-changes a result: every cycle a block keeps is one the loop would have run
-with the same head and length.
+doubles instead, up to 4096 cycles. A block runs to the end of its draw
+chunk. One that verifies in full sets the stretch back to 64, and the next
+chunk opens with a block of the same guess; one that keeps fewer than 32
+cycles doubles the stretch. contention_free, whose every fetch waits on the
+frame it skipped to, stays per-cycle almost entirely. Like the draw
+schedule, the path never changes a result: every cycle a block keeps is one
+the loop would have run with the same head and length.
 
 The per-cycle loop steps the same recurrence one cycle at a time, and
 passes over frames dropped at a full FIFO, or skipped by a queueless
@@ -154,8 +152,6 @@ _MS = 1_000_000  # ns per ms
 # A stream's draw chunks double from _FIRST_CHUNK up to _CHUNK values.
 _FIRST_CHUNK = 64
 _CHUNK = 4096
-# A block with a FIFO iterates at most this many rounds.
-_WALK_ROUNDS = 6
 _NEVER = 1 << 62  # ns, later than any event of a run
 # Objects are injected uniformly over this leading fraction of the run so
 # the pipeline can drain everything they touch.
@@ -447,16 +443,16 @@ def _solve_block(guess, decision, delivery, queue_size, theta_ns,
     fetched frames and cycle lengths as int64 arrays and the loop state
     after it.
 
-    The first heads H are the no-drop guess, or, when the fetch never binds,
-    the heads rule's at the releases t_0 + S + theta. Each round solves t
-    from H, sets deq_n = max(delivery[H_n], t_n + theta) and takes the
-    rule's heads N at deq with a FIFO, at the releases t + theta without
-    one, followed by consecutive frames where they are fewer than the
-    block's cycles (or stops if those instants did not change). It repeats
-    with H = N until N = H or for `_WALK_ROUNDS` rounds with a FIFO, one
-    round without, and keeps the prefix on which N = H and lies before the
-    sentinel. Whatever H is, deq never decreases, as t_{n+1} >=
-    max(t_n + theta, delivery[H_n]) >= deq_n.
+    The block has a cycle for each of its draws, up to one per frame left.
+    Its heads H are the no-drop guess, or, when the fetch never binds, the
+    heads rule's at the releases t_0 + S + theta, followed by consecutive
+    frames where they are fewer than the block's cycles; a head past the
+    last frame is the sentinel. It solves t from H, sets deq_n =
+    max(delivery[H_n], t_n + theta), takes the rule's heads N at deq with a
+    FIFO, at the releases t + theta without one (the rule's first heads if
+    they were taken at those instants), and keeps the prefix on which N = H
+    and lies before the sentinel. Whatever H is, deq never
+    decreases, as t_{n+1} >= max(t_n + theta, delivery[H_n]) >= deq_n.
     On the prefix every head is the loop's, by induction on n: let heads
     0 .. n-1 of H be the loop's. Then t_0 .. t_n and deq_0 .. deq_{n-1} are
     the loop's, and deq_m >= t_n + theta = release_n for m >= n. With a
@@ -480,13 +476,9 @@ def _solve_block(guess, decision, delivery, queue_size, theta_ns,
     held = len(queue)
     queued = np.fromiter(queue, np.int64, held)
     n_frames = len(delivery) - 1
-    alpha_sum = np.zeros(len(alpha) + 1, dtype=np.int64)
-    np.cumsum(alpha, out=alpha_sum[1:])
-    # As t_n >= t_0 + S_n, every frame is decided by the release of cycle
-    # `drained` or earlier, and from then on only the Q queued frames are left.
-    drained = int(np.searchsorted(alpha_sum, decision[n_frames - 1] - now - theta_ns))
-    w = min(len(alpha), n_frames - ptr + held, drained + queue_size)
-    alpha_sum = alpha_sum[:w + 1]
+    w = min(len(alpha), n_frames - ptr + held)
+    alpha_sum = np.zeros(w + 1, dtype=np.int64)
+    np.cumsum(alpha[:w], out=alpha_sum[1:])
     lag = tail[:w] - alpha_sum[1:]  # beta_n - S_{n+1} - delivery[h_n]
     if guess == "never_binds":
         # t = t_0 + S, so the releases, and the retrievals from a FIFO, fall
@@ -496,21 +488,15 @@ def _solve_block(guess, decision, delivery, queue_size, theta_ns,
     else:
         # The queued frames, then consecutive ones.
         read, line = None, np.concatenate((queued, ptr + np.arange(w - held)))
-    heads = None  # no heads solved yet
-    for _ in range(_WALK_ROUNDS if queue_size else 1):
-        m = min(w, len(line))
-        guessed = np.minimum(n_frames, np.concatenate((
-            line[:m], (line[-1] + 1 if len(line) else ptr) + np.arange(w - m))))
-        if np.array_equal(guessed, heads):
-            break
-        heads = guessed
-        arrival = delivery[heads]
-        start = _max_plus(now, alpha_sum, arrival, lag)
-        dequeue = np.maximum(arrival, start[:w] + theta_ns)
-        instants = dequeue if queue_size else start[:w] + theta_ns
-        if np.array_equal(instants, read):
-            break  # the rule there returns `line` again
-        read, line = instants, _heads(decision, instants, queue_size, queued, ptr)
+    m = min(w, len(line))
+    heads = np.minimum(n_frames, np.concatenate((
+        line[:m], (line[-1] + 1 if len(line) else ptr) + np.arange(w - m))))
+    arrival = delivery[heads]
+    start = _max_plus(now, alpha_sum, arrival, lag)
+    dequeue = np.maximum(arrival, start[:w] + theta_ns)
+    instants = dequeue if queue_size else start[:w] + theta_ns
+    if not np.array_equal(instants, read):  # else the rule there returns `line` again
+        line = _heads(decision, instants, queue_size, queued, ptr)
     m = min(w, len(line))
     ok = (line[:m] == heads[:m]) & (line[:m] < n_frames)
     p = int(np.append(ok, False).argmin())
@@ -593,8 +579,9 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
     `run` adds the drain cycles and derives everything else from these.
 
     Cycles run in per-cycle stretches (`_cycles`) and verified blocks
-    (`_solve_block`), chosen by the predictor of the module docstring; a
-    block keeps only verified cycles, so the result is the loop's.
+    (`_solve_block`), chosen by the predictor of the module docstring. A
+    block is offered every cycle left in its draw chunk and keeps only
+    verified cycles, so the result is the loop's.
 
     A stretch reads the instants from lists that hold the frames from
     `base`, the FIFO head (or the next undecided frame) at the last fill,
@@ -619,26 +606,25 @@ def _run_cycles(decision, delivery, queue_size, theta_ns, draws):
     queue = deque()
     ptr = now = 0
     heads, lens = [], []
-    stretch = window = _FIRST_CHUNK
+    stretch = _FIRST_CHUNK
     guess = None
 
     for alpha, tail, other in draws:
         i = 0
         while i < len(alpha):
             if guess is not None:
-                j = min(len(alpha), i + window)
                 h, c, now, ptr, queue = _solve_block(
                     guess, decision, delivery, queue_size, theta_ns, now, ptr, queue,
-                    alpha[i:j], tail[i:j])
+                    alpha[i:], tail[i:])
                 heads.append(h)
                 lens.append(c)
                 i += len(c)
-                if i == j:
-                    window, stretch = min(2 * window, _CHUNK), _FIRST_CHUNK
+                if i == len(alpha):
+                    stretch = _FIRST_CHUNK
                     continue
                 if len(c) < _FIRST_CHUNK // 2:
                     stretch = min(2 * stretch, _CHUNK)
-                guess, window = None, _FIRST_CHUNK
+                guess = None
             j = min(len(alpha), i + stretch)
             # Terms below 2^50 ns sum exactly in int64 over a stretch's at
             # most 4096 cycles; with a longer one the fill runs to the sentinel.

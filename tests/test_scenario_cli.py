@@ -408,6 +408,15 @@ class TestCliSimulatorWarnings:
         out = capsys.readouterr().out
         assert "note: zero_slack: no frame was ever retrieved; run too short" in out
 
+    def test_sweep_notes_each_point_that_warns(self, tmp_path, capsys):
+        path = tmp_path / "idle.ini"
+        path.write_text(self.IDLE)
+        assert run_cli(["sweep", str(path), "--param", "theta", "--values", "0,5000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split()[:2] == ["theta", "0.000"]
+        assert lines[3].split() == ["theta", "5000.000", "nan", "nan"]
+        assert lines[4:] == ["note: theta 5000.000: no frame was ever retrieved; run too short"]
+
     def test_checks_on_nothing_do_not_pass(self, tmp_path, capsys):
         path = tmp_path / "idle.ini"
         path.write_text(self.IDLE)

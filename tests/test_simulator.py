@@ -782,11 +782,11 @@ PINNED_SHORT = {
 # Runs whose verified block prefixes end at each kind of boundary (see
 # `sim._solve_block`), named by it: a dropped or a skipped frame, a fetch
 # that finds the FIFO empty or waits on its head, a FIFO that stops filling,
-# and the last frame; admission-walk blocks cut by the round cap at a drop
-# and at a starved fetch; a FIFO of eight buffers whose blocks start from
-# the fetch-never-binds guess while it stays saturated; runs shorter than
-# the first 64-cycle draw chunk, which solve no block; 0 ns cycles; and
-# shared decision instants. Each entry is
+# and the last frame; admission-walk blocks whose starting heads stop
+# agreeing with the walk at a drop and at a starved fetch; a FIFO of eight
+# buffers whose blocks start from the fetch-never-binds guess while it
+# stays saturated; runs shorter than the first 64-cycle draw chunk, which
+# solve no block; 0 ns cycles; and shared decision instants. Each entry is
 # (gate scenario index from seed 5, variant, run length in capture
 # intervals).
 _BLOCK_RUNS = {
@@ -977,7 +977,7 @@ class TestBlockSolver:
         """Blocks solve more than 98% of the cycles of every preset variant
         but contention_free over ten simulated minutes: the detector-limited
         default and case2, the arrival-limited case1 and the mixed case3
-        (99.6%, through walks from both starting points). They solve none of
+        (99.3%, through blocks from both guesses). They solve none of
         contention_free: its fetch waits on a skipped-to frame in every
         cycle, so no stretch fits either guess, and without a FIFO such a
         stretch starts no block."""
@@ -1070,6 +1070,33 @@ class TestBlockSolver:
         out = sim._solve_block(*args)
         assert len(out[1]) == (1 if guess == "no_drop" and not queue_size else w)
         _assert_hands_back_the_loop_state(args, out)
+
+    @pytest.mark.parametrize("w", [30, 64])
+    @pytest.mark.parametrize("cycle_ms", [5, 25], ids=["arrival_limited", "detector_limited"])
+    @pytest.mark.parametrize("queue_size, queued, ptr", [(4, [2, 3, 4], 5), (1, [4], 5), (0, [], 6)],
+                             ids=["vanilla4", "vanilla1", "on_demand"])
+    def test_block_runs_past_the_last_frame(self, w, cycle_ms, queue_size, queued, ptr):
+        """A block offered more cycles than frames are left reads the
+        sentinel past the last frame. From either guess it keeps the loop's
+        cycles and state and no head at the sentinel, and the guess that fits
+        keeps every cycle the loop runs before it finds no frame."""
+        n_frames = 20
+        decision = np.arange(1, n_frames + 1, dtype=np.int64) * 10 * _MS
+        dec_s, dlv_s = (np.append(x, sim._NEVER) for x in (decision, decision + 5 * _MS))
+        # Each cycle lasts cycle_ms, its fetch 1 ms; theta is 0.
+        alpha, tail = np.full(w, cycle_ms * _MS), np.full(w, _MS)
+        loop_heads, _, _ = sim._cycles(
+            dec_s.tolist(), dlv_s.tolist(), n_frames, queue_size, 0, 0, 60 * _MS, ptr,
+            deque(queued), alpha.tolist(), tail.tolist())
+        assert len(loop_heads) < w
+        kept = []
+        for guess in ("never_binds", "no_drop"):
+            args = (guess, dec_s, dlv_s, queue_size, 0, 60 * _MS, ptr, deque(queued), alpha, tail)
+            out = sim._solve_block(*args)
+            _assert_hands_back_the_loop_state(args, out)
+            assert all(h < n_frames for h in out[0].tolist())
+            kept.append(len(out[1]))
+        assert max(kept) == len(loop_heads)
 
 
 def _assert_hands_back_the_loop_state(args, out):
