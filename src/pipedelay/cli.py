@@ -53,41 +53,42 @@ def _csv(headers, rows) -> str:
     return _text([",".join(headers)] + [",".join(cell(c) for c in row) for row in rows])
 
 
-def _trace_tsv(trace) -> str:
-    """A run's trace as TSV text, header first: one `%` format over the
-    events' cells, interleaved from the trace's columns."""
-    cells = [None] * (4 * len(trace))
-    cells[0::4] = trace.time_ns.tolist()
-    cells[1::4] = trace.kind_names()
-    cells[2::4] = trace.frame.tolist()
-    cells[3::4] = trace.detail.tolist()
-    return ("time_ns\tevent_type\tframe_id\tdetail\n"
-            + "%d\t%s\t%d\t%d\n" * len(trace) % tuple(cells))
+def _trace_tsv(trace) -> bytes:
+    """A run's trace as TSV bytes, header first: one `%` format over the
+    events' int cells, with one row format per event kind, its name baked in."""
+    rows = np.array([b"%%d\t%s\t%%d\t%%d\n" % k.encode() for k in trace.KINDS],
+                    dtype=object)
+    cells = np.column_stack((trace.time_ns, trace.frame, trace.detail)).ravel().tolist()
+    return (b"time_ns\tevent_type\tframe_id\tdetail\n"
+            + b"".join(rows[trace.kind].tolist()) % tuple(cells))
+
+
+def _hist_csv(values) -> bytes:
+    """The non-NaN values' counts in 1 ms floored bins as CSV bytes, one
+    `bin_start_ms,count` row per non-empty bin."""
+    values = np.asarray(values, dtype=float)
+    bins, counts = np.unique(np.floor(values[~np.isnan(values)]).astype(np.int64),
+                             return_counts=True)
+    cells = np.column_stack((bins, counts)).ravel().tolist()
+    return b"bin_start_ms,count\n" + b"%.6f,%d\n" * len(bins) % tuple(cells)
 
 
 def _emit(headers, rows, fmt: str) -> None:
     print(_csv(headers, rows) if fmt == "csv" else _table(headers, rows), end="")
 
 
-def _write(out_dir: str, files: dict[str, str]) -> None:
-    """Write each file's text under `out_dir`, which is made if missing."""
-    os.makedirs(out_dir, exist_ok=True)
-    for filename, text in files.items():
-        path = os.path.join(out_dir, filename)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write(out_dir: str, files: dict[str, bytes]) -> None:
+    """Write each file's bytes under `out_dir`, which is made if missing."""
+    paths = [os.path.join(out_dir, filename) for filename in files]
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for path, data in zip(paths, files.values()):
+            with open(path, "wb") as fh:
+                fh.write(data)
+    except OSError as exc:
+        raise OSError(f"--out: {exc}") from None
+    for path in paths:
         print(f"wrote {path}")
-
-
-def _histogram(values, bin_ms: float = 1.0):
-    """Floor-binned counts as (bin_start_ms, count) rows."""
-    values = np.asarray(values, dtype=float)
-    values = values[~np.isnan(values)]
-    if len(values) == 0:
-        return []
-    idx = np.floor(values / bin_ms).astype(np.int64)
-    starts, counts = np.unique(idx, return_counts=True)
-    return [(float(s * bin_ms), int(c)) for s, c in zip(starts, counts)]
 
 
 def _bounds_rows(scenario: Scenario):
@@ -115,7 +116,7 @@ def cmd_analyze(args) -> int:
     for note in notes:
         print(f"note: {note}")
     if args.out:
-        _write(args.out, {"analysis.csv": _csv(headers, rows)})
+        _write(args.out, {"analysis.csv": _csv(headers, rows).encode()})
     return 0
 
 
@@ -143,12 +144,10 @@ def cmd_simulate(args) -> int:
         for w in r.warnings:
             print(f"note: {r.variant_name}: {w}")
     if args.out:
-        files = {"summary.csv": _csv(_SUMMARY_HEADERS, rows)}
+        files = {"summary.csv": _csv(_SUMMARY_HEADERS, rows).encode()}
         for r in results:
-            for label, values in (("e2e", r.detected_e2e()),
-                                  ("cycle", r.cycle_times)):
-                files[f"hist_{label}_{r.variant_name}.csv"] = _csv(
-                    ("bin_start_ms", "count"), _histogram(values))
+            files[f"hist_e2e_{r.variant_name}.csv"] = _hist_csv(r.detected_e2e())
+            files[f"hist_cycle_{r.variant_name}.csv"] = _hist_csv(r.cycle_times)
         if args.trace:
             files.update((f"trace_{r.variant_name}.tsv", _trace_tsv(r.trace))
                          for r in results)
@@ -156,7 +155,7 @@ def cmd_simulate(args) -> int:
     elif args.trace:
         for r in results:
             print(f"trace[{r.variant_name}]:")
-            print(_trace_tsv(r.trace), end="")
+            print(_trace_tsv(r.trace).decode(), end="")
     return 0
 
 
@@ -187,7 +186,7 @@ def cmd_validate(args) -> int:
     for note in notes:
         print(f"note: {note}")
     if args.out:
-        _write(args.out, {"validation.csv": _csv(headers, rows)})
+        _write(args.out, {"validation.csv": _csv(headers, rows).encode()})
     if failed:
         print("result: FAIL")
     elif not_run:
@@ -259,7 +258,7 @@ def cmd_sweep(args, parser) -> int:
     for note in notes:
         print(f"note: {note}")
     if args.out:
-        _write(args.out, {"sweep.csv": _csv(headers, rows)})
+        _write(args.out, {"sweep.csv": _csv(headers, rows).encode()})
     return 0
 
 

@@ -1,6 +1,7 @@
 """Scenario file parsing and the command-line interface."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import os
@@ -10,7 +11,8 @@ import tempfile
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pipedelay
@@ -28,7 +30,7 @@ from pipedelay.scenario import (
     load_scenario,
     parse_scenario,
 )
-from pipedelay.sim import run
+from pipedelay.sim import Trace, run
 
 MICRO_INLINE = """\
 [scenario]
@@ -546,6 +548,62 @@ class TestTraceOutput:
         assert kinds["idle"] == {b"capture", b"skip"}
 
 
+def _reference_tsv(trace) -> bytes:
+    """The trace TSV formatted event by event from the trace's tuples."""
+    return ("time_ns\tevent_type\tframe_id\tdetail\n"
+            + "".join(f"{t}\t{k}\t{f}\t{d}\n" for t, k, f, d in trace)).encode()
+
+
+def _reference_histogram(values, bin_ms: float = 1.0):
+    """Floor-binned counts as (bin_start_ms, count) rows."""
+    values = np.asarray(values, dtype=float)
+    values = values[~np.isnan(values)]
+    if len(values) == 0:
+        return []
+    idx = np.floor(values / bin_ms).astype(np.int64)
+    starts, counts = np.unique(idx, return_counts=True)
+    return [(float(s * bin_ms), int(c)) for s, c in zip(starts, counts)]
+
+
+def _trace(events) -> Trace:
+    columns = list(zip(*events)) or [(), (), (), ()]
+    return Trace(*(np.array(c, dtype=t) for c, t in
+                   zip(columns, (np.int64, np.int8, np.int64, np.int64))))
+
+
+_EVENTS = st.lists(st.tuples(st.integers(0, 2 ** 62 - 1),
+                             st.integers(0, len(Trace.KINDS) - 1),
+                             st.integers(0, 2 ** 63 - 1), st.integers(0, 2 ** 63 - 1)),
+                   max_size=40)
+_BIN_VALUES = st.lists(st.floats(-2.0 ** 62, 2.0 ** 62) | st.just(float("nan")),
+                       max_size=40)
+
+
+class TestOutFormatters:
+    """The trace and histogram files `simulate --out` writes, against per-row
+    references."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=_EVENTS)
+    @example(events=[])
+    @example(events=[(0, 1, 0, 0)])
+    @example(events=[(2 ** 62 - 1, 3, 2 ** 63 - 1, 9)])
+    @example(events=[(k, k, 10 ** 18 + k, 4 - k) for k in range(len(Trace.KINDS))])
+    def test_trace_matches_the_per_event_reference(self, events):
+        trace = _trace(events)
+        assert cli._trace_tsv(trace) == _reference_tsv(trace)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=_BIN_VALUES)
+    @example(values=[])
+    @example(values=[float("nan")] * 3)
+    @example(values=[0.0, -0.0, 1.0, 0.9999999999999999, 2.0, 2.0, -1.0, 1e-300])
+    @example(values=[1e15 + 0.5, 2.0 ** 53 + 1, 2.0 ** 62, 123456789.987654])
+    def test_histogram_matches_the_reference(self, values):
+        expected = cli._csv(("bin_start_ms", "count"), _reference_histogram(values))
+        assert cli._hist_csv(values) == expected.encode()
+
+
 class TestCliSweep:
     def test_queue_size_sweep_is_monotone(self, scenario_file, capsys):
         assert run_cli(["sweep", scenario_file, "--param", "queue_size",
@@ -836,6 +894,17 @@ class TestCliBadValues:
         path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{field} = -1\n"))
         assert run_cli(["analyze", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: [{section}] {field}: ")
+
+
+    # An `--out` directory that cannot be made is reported by the flag.
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("out, code", [("file", errno.EEXIST),
+                                           ("file/sub", errno.ENOTDIR)])
+    def test_out_errors_name_the_flag(self, command, out, code, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert run_cli([command, "default", "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: --out: [Errno {code}] {os.strerror(code)}: ")
 
 
 class TestCliModule:
