@@ -13,6 +13,13 @@ frame, yet their end-to-end delays span a factor of four:
                      fetch completes right before inference needs it
 * contention_free  - zero_slack with fetch/display serialized against
                      inference instead of racing it on CPU
+
+The four runs use one seed, so they see the same captures, the same
+objects and the same stage draws: only the retrieval strategy differs
+between them. That is what makes the comparison paired (common random
+numbers). Given one dict, the runs build the camera timeline and draw
+the stage values once and share them; each still gives what it would
+give alone.
 """
 
 from pipedelay import analyze, load_scenario, run
@@ -24,9 +31,10 @@ header = (f"{'variant':<17}{'mean_e2e':>10}{'p99_e2e':>10}{'cycle':>9}"
 print(header)
 print("-" * len(header))
 means = []
+shared = {}
 for v in scenario.variants:
     bounds = analyze(scenario.camera, scenario.usb, scenario.profile, v)
-    r = run(scenario.sim_config(v))
+    r = run(scenario.sim_config(v), shared)
     mean_e2e, p99_e2e = r.e2e_mean_p99()
     means.append(mean_e2e)
     print(f"{v.name:<17}{mean_e2e:>10.1f}{p99_e2e:>10.1f}"

@@ -136,7 +136,8 @@ _SUMMARY_HEADERS = (
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    results = [run(scenario.sim_config(v, seed=args.seed, trace=args.trace))
+    shared = {}
+    results = [run(scenario.sim_config(v, seed=args.seed, trace=args.trace), shared)
                for v in scenario.variants]
     rows = [_summary_row(r) for r in results]
     _emit(_SUMMARY_HEADERS, rows, args.format)
@@ -165,9 +166,10 @@ def cmd_validate(args) -> int:
     notes = []
     not_run = []
     failed = False
+    shared = {}
     for variant in scenario.variants:
         bounds = analyze(scenario.camera, scenario.usb, scenario.profile, variant)
-        result = run(scenario.sim_config(variant, seed=args.seed))
+        result = run(scenario.sim_config(variant, seed=args.seed), shared)
         report = validate_against_analysis(result, bounds,
                                            shrink_ms=args.shrink_bounds)
         for c in report.checks:
@@ -249,8 +251,9 @@ def cmd_sweep(args, parser) -> int:
         except ScenarioError as exc:
             raise ScenarioError(f"--values: {args.param} {token}: {exc}") from None
     rows, notes = [], []
+    shared = {}
     for value, point in sorted(points, key=lambda p: p[0]):
-        r = run(point.sim_config(point.variants[0], seed=args.seed))
+        r = run(point.sim_config(point.variants[0], seed=args.seed), shared)
         rows.append((args.param, value, r.e2e_mean_p99()[0], r.mean_cycle_ms()))
         notes.extend(f"{args.param} {_fmt(value)}: {w}" for w in r.warnings)
     headers = ("param", "value", "mean_e2e_ms", "mean_cycle_ms")

@@ -134,6 +134,15 @@ the cumulative probabilities gives, in about constant time per value. Each
 stream rounds its support values to int64 ns once and yields the entries
 at the drawn indices; rounding a draw's ms value gives the same entry, so
 no value changes.
+
+Common random numbers. Runs with one seed see the same captures and the
+same stage draws whatever their variant, which pairs a comparison of
+variants. `run(cfg, shared)` builds them once for the runs given one dict,
+which the caller makes for one command (see `run` for the keys). A shared
+stream replays the chunks drawn so far, in the sizes they were drawn, and
+draws on past them, so each run reads exactly the chunks of fresh streams
+and the block and loop paths, which follow the chunk ends, take the same
+course. The shared arrays are read-only.
 """
 
 from collections import deque
@@ -702,19 +711,61 @@ def _stage_dists(profile: StageProfile) -> list[DelayDist]:
     return dists
 
 
-def run(cfg: SimConfig) -> SimResult:
-    """Simulate one scenario; identical configs give identical results."""
+def _streams(cfg: SimConfig) -> list:
+    """The run's six seeded stage streams, in `_stage_dists` order."""
     ss_stages = np.random.SeedSequence(cfg.seed).spawn(3)[2]
-    return _simulate(cfg, [_chunks(d, np.random.default_rng(s))
-                           for d, s in zip(_stage_dists(cfg.profile), ss_stages.spawn(6))])
+    return [_chunks(d, np.random.default_rng(s))
+            for d, s in zip(_stage_dists(cfg.profile), ss_stages.spawn(6))]
 
 
-def _simulate(cfg: SimConfig, streams) -> SimResult:
+def _replay(drawn: list, source):
+    """The chunks of a stream `drawn` so far, then the next ones of its
+    `source`, each appended to `drawn` as it is drawn; every chunk is
+    read-only, as later runs read it again."""
+    yield from drawn
+    for chunk in source:
+        chunk.flags.writeable = False
+        drawn.append(chunk)
+        yield chunk
+
+
+def run(cfg: SimConfig, shared: dict | None = None) -> SimResult:
+    """Simulate one scenario; identical configs give identical results.
+
+    Runs given one `shared` dict, which the caller makes for one command,
+    build the camera timeline, kept under (camera, usb, duration_ms, seed,
+    capture_jitter_ms), and draw the six stage streams, kept under the seed
+    and the ids of the profile's distributions, once (see the module
+    docstring); each result is still bit-identical to `run(cfg)`'s. The
+    dict keeps the last of each, so a frame-rate sweep holds one timeline,
+    not one per point, and the stream entry keeps the distributions, so
+    their ids name them while it lives."""
+    if shared is None:
+        return _simulate(cfg, _streams(cfg))
+    key = (cfg.camera, cfg.usb, cfg.duration_ms, cfg.seed, cfg.capture_jitter_ms)
+    if shared.get("timeline", (None,))[0] != key:
+        ss_cam = np.random.SeedSequence(cfg.seed).spawn(3)[0]
+        timeline = _camera_timeline(cfg, np.random.default_rng(ss_cam))
+        for a in timeline:
+            a.flags.writeable = False
+        shared["timeline"] = key, timeline
+    parts = tuple(getattr(cfg.profile, f.name) for f in fields(cfg.profile))
+    key = (cfg.seed, *map(id, parts))
+    if shared.get("streams", (None,))[0] != key:
+        shared["streams"] = key, parts, [([], s) for s in _streams(cfg)]
+    return _simulate(cfg, [_replay(*memo) for memo in shared["streams"][2]],
+                     shared["timeline"][1])
+
+
+def _simulate(cfg: SimConfig, streams, timeline=None) -> SimResult:
     """`run` on the given stage streams: six iterators of ns-valued int64
-    chunks in `_stage_dists` order, as `_chunks` yields them. The camera
-    timeline and the objects still come from the seed."""
+    chunks in `_stage_dists` order, as `_chunks` yields them. The objects,
+    and the camera timeline unless `timeline` gives it as `_camera_timeline`
+    returns it, come from the seed."""
     ss_cam, ss_obj, _ = np.random.SeedSequence(cfg.seed).spawn(3)
-    capture, decision, delivery = _camera_timeline(cfg, np.random.default_rng(ss_cam))
+    # No name holds the tuple, so the epilogue can free an unshared timeline.
+    capture, decision, delivery = (_camera_timeline(cfg, np.random.default_rng(ss_cam))
+                                   if timeline is None else timeline)
     n_frames = len(capture)
     fetch_c, fetch_u, infer_c, infer_u, disp_c, disp_u = streams
 

@@ -634,25 +634,32 @@ class TestCliSweepPoints:
                                  "variants = zero_slack, vanilla\n\n[zero_slack]\ntheta = auto")
     STAGE = "\n[profile.disp_exec]\nconst = 30\n"
 
-    @pytest.mark.parametrize("param, value, old, new, extra", [
-        ("nn_resolution", "416", "xavier-yolov3-608", "xavier-yolov3-416", ""),
+    @pytest.mark.parametrize("param, values, old, new, extra, variant", [
+        ("nn_resolution", "416", "xavier-yolov3-608", "xavier-yolov3-{}", "", "zero_slack"),
         ("frame_rate", "20", "preset = c930e-640x480-30",
-         "preset = c930e-640x480-30\nframe_rate = 20", ""),
-        ("nn_resolution", "416", "xavier-yolov3-608", "xavier-yolov3-416", STAGE),
-    ], ids=["nn_resolution", "frame_rate", "nn_resolution_keeps_stage_sections"])
-    def test_sweep_row_is_the_edited_file(self, param, value, old, new, extra,
+         "preset = c930e-640x480-30\nframe_rate = {}", "", "zero_slack"),
+        ("nn_resolution", "416", "xavier-yolov3-608", "xavier-yolov3-{}", STAGE, "zero_slack"),
+        # The points of these two share the camera timeline and the stage
+        # draws (see `sim.run`).
+        ("queue_size", "0,1,3", "size = 2", "size = {}", "", "vanilla"),
+        ("theta", "0,10,25", "theta = auto", "theta = {}", "", "zero_slack"),
+    ], ids=["nn_resolution", "frame_rate", "nn_resolution_keeps_stage_sections",
+            "queue_size", "theta"])
+    def test_sweep_row_is_the_edited_file(self, param, values, old, new, extra, variant,
                                           tmp_path, capsys):
         base = self.BASE + extra
-        edited = base.replace(old, new).replace("zero_slack, vanilla", "zero_slack")
         (tmp_path / "base.ini").write_text(base)
-        (tmp_path / "edited.ini").write_text(edited)
         assert run_cli(["sweep", str(tmp_path / "base.ini"), "--param", param,
-                        "--values", value, "--format", "csv"]) == 0
-        swept = capsys.readouterr().out.splitlines()[1].split(",")
-        assert run_cli(["simulate", str(tmp_path / "edited.ini"), "--format", "csv"]) == 0
-        row = capsys.readouterr().out.splitlines()[1].split(",")
-        assert row[0] == "zero_slack"
-        assert swept[2:] == [row[6], row[8]]   # mean_e2e_ms, mean_cycle_ms
+                        "--values", values, "--format", "csv"]) == 0
+        swept = capsys.readouterr().out.splitlines()[1:]
+        assert len(swept) == len(values.split(","))
+        for value, line in zip(values.split(","), swept):
+            edited = base.replace(old, new.format(value)).replace("zero_slack, vanilla", variant)
+            (tmp_path / "edited.ini").write_text(edited)
+            assert run_cli(["simulate", str(tmp_path / "edited.ini"), "--format", "csv"]) == 0
+            row = capsys.readouterr().out.splitlines()[1].split(",")
+            assert row[0] == variant
+            assert line.split(",")[2:] == [row[6], row[8]]   # mean_e2e_ms, mean_cycle_ms
 
 
 class TestCliUsageErrors:

@@ -898,6 +898,77 @@ class TestPinnedRuns:
         assert {k for k in got if not solved[k]} == {k for k in got if k.startswith("short.")}
 
 
+# -- runs that share one dict ----------------------------------------------------
+
+
+def _shared_arrays(obj):
+    """Every array in a `run` memo's entries."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list, dict)):
+        for x in obj.values() if isinstance(obj, dict) else obj:
+            yield from _shared_arrays(x)
+
+
+class TestSharedRuns:
+    """Runs given one `shared` dict reuse the camera timeline and the stage
+    streams of their seed (see `sim.run`), so each must equal the
+    independent `run(cfg)` on every field, the trace included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.integers(0, 3),
+           cycles=st.sampled_from([63, 64, 65, 4096]) | st.integers(1, 600),
+           jitter=st.floats(0.0, 0.39), trace=st.booleans(), objects=st.booleans(),
+           order=st.permutations(range(8)))
+    def test_shared_runs_equal_independent_runs(self, seed, kind, cycles, jitter, trace,
+                                                objects, order):
+        """Over gate scenarios, in shuffled order, so that a run may read a
+        stream deeper than the runs before it: five variants, one with a
+        FIFO larger than the frame count, and runs that differ from the
+        first only in their duration, their capture jitter or their seed."""
+        cam, usb, profile, variant = _random_scenario(np.random.default_rng(seed), kind)
+        duration_ms = cycles * cam.cycle_ms
+        base = SimConfig(camera=cam, usb=usb, profile=profile, variant=variant,
+                         duration_ms=duration_ms, seed=seed, n_objects=20,
+                         capture_jitter_ms=jitter * cam.cycle_ms, trace=trace,
+                         object_times_ms=(0.0, duration_ms / 2) if objects else None)
+        cfgs = [dataclasses.replace(base, variant=v)
+                for v in (variant, Vanilla(1), Vanilla(cycles + 2), OnDemand(), ContentionFree())]
+        cfgs += [dataclasses.replace(base, duration_ms=2 * duration_ms),
+                 dataclasses.replace(base, capture_jitter_ms=0.0),
+                 dataclasses.replace(base, seed=seed + 1)]
+        shared = {}
+        for i in order:
+            assert result_digest(run(cfgs[i], shared)) == result_digest(run(cfgs[i])), i
+
+    def test_runs_ending_at_a_draw_chunk_boundary(self):
+        """Every variant fetches every frame of SHORT_PROFILE's runs, so runs
+        of 63, 64, 65 and 4096 frames read their streams up to just before,
+        at and just past the end of a draw chunk; in one dict, each longer
+        run reads past what the shorter ones drew."""
+        shared = {}
+        for frames in (63, 64, 65, 4096):
+            for v in (Vanilla(1), OnDemand(), ContentionFree()):
+                cfg = micro_config(profile=SHORT_PROFILE, variant=v, duration_ms=10.0 * frames,
+                                   object_times_ms=None, n_objects=20, trace=True)
+                r = run(cfg, shared)
+                assert r.frames_fetched == r.frames_captured == frames
+                assert result_digest(r) == result_digest(run(cfg)), (frames, v)
+
+    def test_shared_arrays_are_read_only(self):
+        """The timeline and every drawn chunk are set read-only, so an
+        in-place write meant for one run cannot reach the next one."""
+        shared = {}
+        r = run(heavy_config(), shared)
+        arrays = list(_shared_arrays(shared))
+        # The three timeline arrays and at least one chunk of each stream.
+        assert len(arrays) >= 3 + 6
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[:1] = 0
+        assert result_digest(run(heavy_config(), shared)) == result_digest(r)
+
+
 # -- block solver ------------------------------------------------------------------
 
 
